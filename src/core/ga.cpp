@@ -1,15 +1,14 @@
 #include "core/ga.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <stdexcept>
 
 #include "core/breed.hpp"
 #include "core/checkpoint.hpp"
+#include "core/eval_pipeline.hpp"
 
 namespace nautilus {
 
@@ -112,40 +111,7 @@ RunResult GaEngine::resume(const std::string& checkpoint_path) const
 RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) const
 {
     Rng rng{seed};
-    // The fault guard sits *below* the memoization cache: every cache miss is
-    // one guarded call, so penalties are cached like ordinary results and
-    // attempts == distinct evals + retries (DESIGN.md section 8).
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // The persistent store (when attached) answers memo misses before the
-    // fault guard runs, so warm runs skip the evaluator but still charge a
-    // distinct evaluation in the memo layer -- results and determinism-gated
-    // counters are identical cold vs warm.  Penalized outcomes are per-run
-    // policy and are never written back.
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_observer(config_.eval_observer);
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipeline{eval_, config_};
     const obs::Tracer& tracer = config_.obs.tracer;
     obs::Counter* m_generations = nullptr;
     obs::Counter* m_checkpoints = nullptr;
@@ -177,12 +143,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         result.best_eval = restored->best_eval;
         best_so_far = restored->best_so_far;
         stall = restored->stall;
-        CachingEvaluator::Snapshot snap;
-        snap.entries = restored->cache;
-        snap.distinct = restored->distinct;
-        snap.calls = restored->calls;
-        evaluator.restore(snap);
-        guard.restore(restored->quarantine, restored->fault);
+        pipeline.restore(*restored);
     }
     else {
         for (const Genome& g : seeds_) population.push_back(g);
@@ -205,14 +166,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
             .add("mutation_rate", obs::FieldValue{config_.mutation_rate})
             .add("crossover_rate", obs::FieldValue{config_.crossover_rate})
             .add("confidence", obs::FieldValue{hints_.confidence()});
-        if (restored != nullptr) {
-            const FaultCounters fc = guard.counters();
-            ev.add("resumed", obs::FieldValue{true})
-                .add("start_generation", start_gen)
-                .add("distinct_at_start", evaluator.distinct_evaluations())
-                .add("attempts_at_start", std::size_t{fc.attempts})
-                .add("retries_at_start", std::size_t{fc.retries});
-        }
+        pipeline.add_resume_fields(ev);
         for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
         tracer.emit(std::move(ev));
     }
@@ -256,12 +210,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         cp.best_eval = result.best_eval;
         cp.best_so_far = best_so_far;
         cp.stall = stall;
-        CachingEvaluator::Snapshot snap = evaluator.snapshot();
-        cp.cache = std::move(snap.entries);
-        cp.distinct = snap.distinct;
-        cp.calls = snap.calls;
-        cp.quarantine = guard.quarantined_keys();
-        cp.fault = guard.counters();
+        pipeline.snapshot(cp);
         if (lineage.has_value()) {
             cp.have_lineage = true;
             cp.lineage = lineage->snapshot(ids);
@@ -314,14 +263,14 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
             break;
         }
         // --- Evaluate (fans out across the worker pool) -------------------
-        batch_eval.evaluate(evaluator, population, std::span<Evaluation>{evals});
+        pipeline.evaluate_wave(population, evals);
         for (std::size_t i = 0; i < population.size(); ++i)
             fitness[i] = mapper.fitness(evals[i]);
 
         // --- Record statistics ------------------------------------------
         GenerationStats stats;
         stats.generation = gen;
-        stats.distinct_evals = evaluator.distinct_evaluations();
+        stats.distinct_evals = pipeline.distinct();
         double gen_best = worst_value(direction_);
         double gen_worst = direction_ == Direction::maximize
                                ? std::numeric_limits<double>::infinity()
@@ -434,15 +383,9 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         }
     }
 
-    result.distinct_evals = evaluator.distinct_evaluations();
-    result.total_eval_calls = evaluator.total_calls();
-    result.eval_seconds = batch_eval.eval_seconds();
-    result.eval_workers = batch_eval.workers();
+    pipeline.fill(result);
     result.final_population = std::move(population);
     result.final_rng_state = rng.state();
-    result.fault = guard.counters();
-    result.store_hits = store_hits.load(std::memory_order_relaxed);
-    result.store_misses = store_misses.load(std::memory_order_relaxed);
     if (lineage.has_value()) {
         std::vector<std::uint64_t> winners;
         if (lineage->last_improved() != obs::k_no_parent)
@@ -450,30 +393,14 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         lineage->finish(winners);
     }
     if (progress != nullptr) progress->on_run_end();
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "ga")
-            .add("distinct_evals", result.distinct_evals)
-            .add("total_calls", result.total_eval_calls)
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("generations", result.history.size())
+    pipeline.emit_run_end("ga", [&](obs::TraceEvent& ev) {
+        ev.add("generations", result.history.size())
             .add("feasible", obs::FieldValue{have_best})
             .add("best", obs::FieldValue{have_best ? best_so_far : 0.0})
             .add("hit_target", obs::FieldValue{result.hit_target})
             .add("stalled", obs::FieldValue{result.stalled})
-            .add("halted", obs::FieldValue{result.halted})
-            .add("eval_seconds", obs::FieldValue{result.eval_seconds})
-            .add("attempts", std::size_t{result.fault.attempts})
-            .add("retries", std::size_t{result.fault.retries})
-            .add("eval_failures", std::size_t{result.fault.failures})
-            .add("eval_timeouts", std::size_t{result.fault.timeouts})
-            .add("quarantined", std::size_t{result.fault.quarantined})
-            .add("penalties", std::size_t{result.fault.penalties});
-        if (store != nullptr)
-            ev.add("store_hits", result.store_hits)
-                .add("store_misses", result.store_misses);
-        tracer.emit(std::move(ev));
-    }
+            .add("halted", obs::FieldValue{result.halted});
+    });
     return result;
 }
 

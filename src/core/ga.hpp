@@ -5,7 +5,7 @@
 // *baseline GA* (PyEvolve-style defaults: population 10, per-gene mutation
 // rate 0.1, 80 generations); with author hints and nonzero confidence it is
 // *Nautilus*.  The evaluation cost model (distinct synthesized designs) is
-// delegated to CachingEvaluator.
+// delegated to EvalPipeline (core/eval_pipeline.hpp).
 
 #include <array>
 #include <atomic>

@@ -1,15 +1,13 @@
 #include "core/local_search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "core/batch_evaluator.hpp"
 #include "core/breed.hpp"
+#include "core/eval_pipeline.hpp"
 
 namespace nautilus {
 
@@ -75,35 +73,10 @@ SimulatedAnnealing::SimulatedAnnealing(const ParameterSpace& space, AnnealingCon
     check_engine_args(space_, eval_, hints_);
 }
 
-Curve SimulatedAnnealing::run(std::uint64_t seed) const
+Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
 {
     Rng rng{seed};
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier below the memo cache (see GaEngine::run_impl).
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipeline{eval_, config_};
     const obs::Tracer& tracer = config_.obs.tracer;
     if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("sa.runs").add();
     obs::ProgressTracker* progress = config_.obs.progress_tracker();
@@ -131,36 +104,22 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
         prop_origins.resize(space_.size());
     }
 
-    const auto emit_run_end = [&](bool feasible, double best_value) {
+    const auto finish = [&](bool feasible, double best_value) {
         if (lineage.has_value()) {
             std::vector<std::uint64_t> winners;
             if (feasible && best_id != obs::k_no_parent) winners.push_back(best_id);
             lineage->finish(winners);
         }
         if (progress != nullptr) {
-            progress->on_units(evaluator.distinct_evaluations());
+            progress->on_units(pipeline.distinct());
             if (feasible) progress->on_best(best_value);
             progress->on_run_end();
         }
-        if (!tracer.enabled()) return;
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "sa")
-            .add("distinct_evals", evaluator.distinct_evaluations())
-            .add("total_calls", evaluator.total_calls())
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("feasible", obs::FieldValue{feasible})
-            .add("best", obs::FieldValue{feasible ? best_value : 0.0})
-            .add("eval_seconds", obs::FieldValue{batch_eval.eval_seconds()});
-        if (store != nullptr)
-            ev.add("store_hits", store_hits.load(std::memory_order_relaxed))
-                .add("store_misses", store_misses.load(std::memory_order_relaxed));
-        tracer.emit(std::move(ev));
-    };
-    const auto evaluate = [&](const Genome& g) {
-        Evaluation out;
-        batch_eval.evaluate(evaluator, std::span<const Genome>{&g, 1},
-                            std::span<Evaluation>{&out, 1});
-        return out;
+        pipeline.emit_run_end("sa", [&](obs::TraceEvent& ev) {
+            ev.add("feasible", obs::FieldValue{feasible})
+                .add("best", obs::FieldValue{feasible ? best_value : 0.0});
+        });
+        if (totals != nullptr) pipeline.fill(*totals);
     };
     const FitnessMapper mapper{direction_};
     Curve curve{direction_};
@@ -171,18 +130,18 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     Genome current = Genome::random(space_, rng);
     if (lineage.has_value())
         current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-    Evaluation current_eval = evaluate(current);
+    Evaluation current_eval = pipeline.evaluate(current);
     for (int tries = 0;
          !current_eval.feasible && tries < 200 &&
-         evaluator.distinct_evaluations() < config_.max_distinct_evals;
+         pipeline.distinct() < config_.max_distinct_evals;
          ++tries) {
         current = Genome::random(space_, rng);
         if (lineage.has_value())
             current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-        current_eval = evaluate(current);
+        current_eval = pipeline.evaluate(current);
     }
     if (!current_eval.feasible) {
-        emit_run_end(false, 0.0);
+        finish(false, 0.0);
         return curve;
     }
     if (lineage.has_value()) {
@@ -191,7 +150,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     }
 
     double best = current_eval.value;
-    curve.append(static_cast<double>(evaluator.distinct_evaluations()), best);
+    curve.append(static_cast<double>(pipeline.distinct()), best);
 
     // Auto temperature: a few probe moves estimate the cost scale.  The
     // probe chain is built single-threaded (mutation only consumes rng),
@@ -201,7 +160,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     if (temperature == 0.0) {
         double spread = 0.0;
         const std::size_t remaining =
-            config_.max_distinct_evals - evaluator.distinct_evaluations();
+            config_.max_distinct_evals - pipeline.distinct();
         std::vector<Genome> probes;
         Genome probe = current;
         std::uint64_t probe_id = current_id;
@@ -214,7 +173,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
             probes.push_back(probe);
         }
         std::vector<Evaluation> probe_evals(probes.size());
-        batch_eval.evaluate(evaluator, probes, std::span<Evaluation>{probe_evals});
+        pipeline.evaluate_wave(probes, probe_evals);
         for (const Evaluation& e : probe_evals)
             if (e.feasible)
                 spread = std::max(spread, std::abs(e.value - current_eval.value));
@@ -222,14 +181,14 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     }
 
     std::size_t step = 0;
-    while (evaluator.distinct_evaluations() < config_.max_distinct_evals) {
+    while (pipeline.distinct() < config_.max_distinct_evals) {
         const Genome candidate = propose(
             current, ctx, rng, lineage.has_value() ? prop_origins.data() : nullptr);
         std::uint64_t cand_id = obs::k_no_parent;
         if (lineage.has_value())
             cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
                                         prop_origins);
-        const Evaluation cand_eval = evaluate(candidate);
+        const Evaluation cand_eval = pipeline.evaluate(candidate);
         const double delta = mapper.fitness(cand_eval) - mapper.fitness(current_eval);
         const bool accept =
             delta >= 0.0 ||
@@ -247,17 +206,17 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
                     lineage->on_improved(cand_id);
                     best_id = cand_id;
                 }
-                curve.append(static_cast<double>(evaluator.distinct_evaluations()), best);
+                curve.append(static_cast<double>(pipeline.distinct()), best);
             }
         }
         if (++step % config_.steps_per_temperature == 0)
             temperature = std::max(temperature * config_.cooling, 1e-12);
         if (progress != nullptr) {
-            progress->on_units(evaluator.distinct_evaluations());
+            progress->on_units(pipeline.distinct());
             progress->on_best(best);
         }
     }
-    emit_run_end(true, best);
+    finish(true, best);
     return curve;
 }
 
@@ -298,35 +257,10 @@ HillClimber::HillClimber(const ParameterSpace& space, HillClimbConfig config,
     check_engine_args(space_, eval_, hints_);
 }
 
-Curve HillClimber::run(std::uint64_t seed) const
+Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
 {
     Rng rng{seed};
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier below the memo cache (see GaEngine::run_impl).
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipeline{eval_, config_};
     const obs::Tracer& tracer = config_.obs.tracer;
     if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("hc.runs").add();
     obs::ProgressTracker* progress = config_.obs.progress_tracker();
@@ -354,12 +288,6 @@ Curve HillClimber::run(std::uint64_t seed) const
         prop_origins.resize(space_.size());
     }
 
-    const auto evaluate = [&](const Genome& g) {
-        Evaluation out;
-        batch_eval.evaluate(evaluator, std::span<const Genome>{&g, 1},
-                            std::span<Evaluation>{&out, 1});
-        return out;
-    };
     Curve curve{direction_};
 
     BreedContext ctx{space_, hints_, config_.mutation_rate};
@@ -370,7 +298,7 @@ Curve HillClimber::run(std::uint64_t seed) const
     Genome current = Genome::random(space_, rng);
     if (lineage.has_value())
         current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-    Evaluation current_eval = evaluate(current);
+    Evaluation current_eval = pipeline.evaluate(current);
     std::size_t stale = 0;
     std::size_t step = 0;
 
@@ -383,18 +311,18 @@ Curve HillClimber::run(std::uint64_t seed) const
                 lineage->on_improved(id);
                 best_id = id;
             }
-            curve.append(static_cast<double>(evaluator.distinct_evaluations()), best);
+            curve.append(static_cast<double>(pipeline.distinct()), best);
         }
     };
     note(current_eval, current_id);
 
-    while (evaluator.distinct_evaluations() < config_.max_distinct_evals) {
+    while (pipeline.distinct() < config_.max_distinct_evals) {
         ++step;
         if (stale >= config_.patience || !current_eval.feasible) {
             current = Genome::random(space_, rng);
             if (lineage.has_value())
                 current_id = lineage->on_root(step, obs::BirthOp::init, space_.size());
-            current_eval = evaluate(current);
+            current_eval = pipeline.evaluate(current);
             note(current_eval, current_id);
             stale = 0;
             continue;
@@ -405,7 +333,7 @@ Curve HillClimber::run(std::uint64_t seed) const
         if (lineage.has_value())
             cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
                                         prop_origins);
-        const Evaluation cand_eval = evaluate(candidate);
+        const Evaluation cand_eval = pipeline.evaluate(candidate);
         if (cand_eval.feasible &&
             no_worse(cand_eval.value, current_eval.value, direction_)) {
             const bool strictly =
@@ -423,7 +351,7 @@ Curve HillClimber::run(std::uint64_t seed) const
             ++stale;
         }
         if (progress != nullptr) {
-            progress->on_units(evaluator.distinct_evaluations());
+            progress->on_units(pipeline.distinct());
             if (have_best) progress->on_best(best);
         }
     }
@@ -433,23 +361,14 @@ Curve HillClimber::run(std::uint64_t seed) const
         lineage->finish(winners);
     }
     if (progress != nullptr) {
-        progress->on_units(evaluator.distinct_evaluations());
+        progress->on_units(pipeline.distinct());
         progress->on_run_end();
     }
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "hc")
-            .add("distinct_evals", evaluator.distinct_evaluations())
-            .add("total_calls", evaluator.total_calls())
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("feasible", obs::FieldValue{have_best})
-            .add("best", obs::FieldValue{have_best ? best : 0.0})
-            .add("eval_seconds", obs::FieldValue{batch_eval.eval_seconds()});
-        if (store != nullptr)
-            ev.add("store_hits", store_hits.load(std::memory_order_relaxed))
-                .add("store_misses", store_misses.load(std::memory_order_relaxed));
-        tracer.emit(std::move(ev));
-    }
+    pipeline.emit_run_end("hc", [&](obs::TraceEvent& ev) {
+        ev.add("feasible", obs::FieldValue{have_best})
+            .add("best", obs::FieldValue{have_best ? best : 0.0});
+    });
+    if (totals != nullptr) pipeline.fill(*totals);
     return curve;
 }
 

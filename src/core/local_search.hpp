@@ -23,6 +23,8 @@
 
 namespace nautilus {
 
+struct EvalTotals;  // core/eval_pipeline.hpp
+
 struct AnnealingConfig {
     std::size_t max_distinct_evals = 800;  // same budget axis as the GA benches
     double initial_temperature = 0.0;      // 0 = auto-calibrate from first samples
@@ -54,7 +56,8 @@ public:
                        Direction direction, EvalFn eval, HintSet hints);
 
     // One annealing run; the curve tracks best-so-far vs distinct evals.
-    Curve run(std::uint64_t seed) const;
+    // `totals`, when non-null, receives the run's evaluation accounting.
+    Curve run(std::uint64_t seed, EvalTotals* totals = nullptr) const;
     MultiRunCurve run_many(std::size_t count) const;
 
 private:
@@ -94,7 +97,8 @@ public:
     HillClimber(const ParameterSpace& space, HillClimbConfig config, Direction direction,
                 EvalFn eval, HintSet hints);
 
-    Curve run(std::uint64_t seed) const;
+    // One climb; `totals` as for SimulatedAnnealing::run.
+    Curve run(std::uint64_t seed, EvalTotals* totals = nullptr) const;
     MultiRunCurve run_many(std::size_t count) const;
 
 private:

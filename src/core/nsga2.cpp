@@ -6,10 +6,9 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/batch_evaluator.hpp"
 #include "core/breed.hpp"
 #include "core/checkpoint.hpp"
-#include "core/evaluator.hpp"
+#include "core/eval_pipeline.hpp"
 
 namespace nautilus {
 
@@ -156,55 +155,17 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
 {
     Rng rng{seed};
 
-    // Memoized evaluation with distinct counting (the paper's cost model),
-    // fanned out across the worker pool one wave at a time.  The fault guard
-    // sits below the cache (see core/fault.hpp); the multi-objective penalty
-    // is nullopt, so quarantined designs are simply infeasible.
+    // The multi-objective penalty is nullopt, so quarantined designs are
+    // simply infeasible; a stored record must carry one value per objective.
     using MultiValue = std::optional<std::vector<double>>;
-    FaultTolerantEvaluator<MultiValue> guard{
+    EvalPipeline<MultiValue> pipeline{
         [this](const Genome& g) {
             MultiValue values = eval_(g);
             if (values && values->size() != directions_.size())
                 throw std::runtime_error("Nsga2Engine: objective arity mismatch");
             return values;
         },
-        config_.fault, MultiValue{}};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier: answers memo misses before the fault guard (see
-    // GaEngine::run_impl).  Feasible records must carry one value per
-    // objective; anything else is treated as a miss and recomputed.
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    BasicCachingEvaluator<MultiValue> evaluator{[&](const Genome& g) -> MultiValue {
-        if (store != nullptr) {
-            if (std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (!cached->feasible && cached->values.empty()) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return std::nullopt;
-                }
-                if (cached->feasible && cached->values.size() == directions_.size()) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return MultiValue{std::move(cached->values)};
-                }
-            }
-        }
-        EvalOutcome outcome;
-        MultiValue values = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) {
-                StoredResult record;
-                record.feasible = values.has_value();
-                if (values) record.values = *values;
-                store->insert(store_ns, g, std::move(record));
-            }
-        }
-        return values;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+        config_, directions_.size()};
     const obs::Tracer& tracer = config_.obs.tracer;
     obs::Counter* m_generations = nullptr;
     obs::Counter* m_checkpoints = nullptr;
@@ -234,12 +195,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         archive.reserve(restored->archive.size());
         for (std::size_t i = 0; i < restored->archive.size(); ++i)
             archive.push_back({restored->archive[i], restored->archive_values[i]});
-        BasicCachingEvaluator<MultiValue>::Snapshot snap;
-        snap.entries = restored->cache;
-        snap.distinct = restored->distinct;
-        snap.calls = restored->calls;
-        evaluator.restore(snap);
-        guard.restore(restored->quarantine, restored->fault);
+        pipeline.restore(*restored);
     }
 
     obs::ProgressTracker* progress = config_.obs.progress_tracker();
@@ -255,14 +211,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             .add("objectives", directions_.size())
             .add("workers", config_.eval_workers)
             .add("confidence", obs::FieldValue{hints_.confidence()});
-        if (restored != nullptr) {
-            const FaultCounters fc = guard.counters();
-            ev.add("resumed", obs::FieldValue{true})
-                .add("start_generation", start_gen)
-                .add("distinct_at_start", evaluator.distinct_evaluations())
-                .add("attempts_at_start", std::size_t{fc.attempts})
-                .add("retries_at_start", std::size_t{fc.retries});
-        }
+        pipeline.add_resume_fields(ev);
         for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
         tracer.emit(std::move(ev));
     }
@@ -292,34 +241,12 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     const auto finish = [&](MultiObjectiveResult result) {
         if (lineage.has_value()) lineage->finish(lineage_winners);
         if (progress != nullptr) progress->on_run_end();
-        result.distinct_evals = evaluator.distinct_evaluations();
-        result.total_eval_calls = evaluator.total_calls();
-        result.eval_seconds = batch_eval.eval_seconds();
-        result.eval_workers = batch_eval.workers();
+        pipeline.fill(result);
         result.start_generation = start_gen;
-        result.fault = guard.counters();
-        result.store_hits = store_hits.load(std::memory_order_relaxed);
-        result.store_misses = store_misses.load(std::memory_order_relaxed);
-        if (tracer.enabled()) {
-            obs::TraceEvent ev{"run_end"};
-            ev.add("engine", "nsga2")
-                .add("distinct_evals", result.distinct_evals)
-                .add("total_calls", result.total_eval_calls)
-                .add("inflight_waits", evaluator.inflight_waits())
-                .add("front_size", result.front.size())
-                .add("halted", obs::FieldValue{result.halted})
-                .add("eval_seconds", obs::FieldValue{result.eval_seconds})
-                .add("attempts", std::size_t{result.fault.attempts})
-                .add("retries", std::size_t{result.fault.retries})
-                .add("eval_failures", std::size_t{result.fault.failures})
-                .add("eval_timeouts", std::size_t{result.fault.timeouts})
-                .add("quarantined", std::size_t{result.fault.quarantined})
-                .add("penalties", std::size_t{result.fault.penalties});
-            if (store != nullptr)
-                ev.add("store_hits", result.store_hits)
-                    .add("store_misses", result.store_misses);
-            tracer.emit(std::move(ev));
-        }
+        pipeline.emit_run_end("nsga2", [&](obs::TraceEvent& ev) {
+            ev.add("front_size", result.front.size())
+                .add("halted", obs::FieldValue{result.halted});
+        });
         return result;
     };
     std::vector<MultiValue> wave_values;
@@ -348,12 +275,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             cp.archive.push_back(m.genome);
             cp.archive_values.push_back(m.values);
         }
-        typename BasicCachingEvaluator<MultiValue>::Snapshot snap = evaluator.snapshot();
-        cp.cache = std::move(snap.entries);
-        cp.distinct = snap.distinct;
-        cp.calls = snap.calls;
-        cp.quarantine = guard.quarantined_keys();
-        cp.fault = guard.counters();
+        pipeline.snapshot(cp);
         save_checkpoint(config_.checkpoint_path, cp);
         if (m_checkpoints != nullptr) m_checkpoints->add();
         if (tracer.enabled()) {
@@ -382,7 +304,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 wave.push_back(Genome::random(space_, rng));
             draws += chunk;
             wave_values.assign(chunk, MultiValue{});
-            batch_eval.evaluate(evaluator, wave, std::span<MultiValue>{wave_values});
+            pipeline.evaluate_wave(wave, wave_values);
             for (std::size_t i = 0; i < chunk; ++i) {
                 if (!wave_values[i]) continue;
                 population.push_back({wave[i], *wave_values[i]});
@@ -504,7 +426,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             }
             born += brood.size();
             wave_values.assign(brood.size(), MultiValue{});
-            batch_eval.evaluate(evaluator, brood, std::span<MultiValue>{wave_values});
+            pipeline.evaluate_wave(brood, wave_values);
             for (std::size_t i = 0; i < brood.size(); ++i) {
                 if (offspring.size() >= config_.population_size) break;
                 if (wave_values[i]) {
@@ -565,7 +487,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 .add("archive", archive.size())
                 .add("fronts", pool_fronts.size())
                 .add("front0", pool_fronts.empty() ? std::size_t{0} : pool_fronts[0].size())
-                .add("distinct_total", evaluator.distinct_evaluations())
+                .add("distinct_total", pipeline.distinct())
                 .add("genes_mutated", std::size_t{mut_stats.genes_mutated})
                 .add("bias_draws", std::size_t{mut_stats.bias_draws})
                 .add("target_draws", std::size_t{mut_stats.target_draws})

@@ -1,14 +1,11 @@
 #include "core/random_search.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
-#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
-#include "core/batch_evaluator.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/genome.hpp"
 
 namespace nautilus {
@@ -31,35 +28,10 @@ RandomSearch::RandomSearch(const ParameterSpace& space, RandomSearchConfig confi
     config_.validate();
 }
 
-Curve RandomSearch::run(std::uint64_t seed) const
+Curve RandomSearch::run(std::uint64_t seed, EvalTotals* totals) const
 {
     Rng rng{seed};
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier below the memo cache (see GaEngine::run_impl).
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipeline{eval_, config_};
     const obs::Tracer& tracer = config_.obs.tracer;
     if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("random.runs").add();
     obs::ProgressTracker* progress = config_.obs.progress_tracker();
@@ -96,7 +68,7 @@ Curve RandomSearch::run(std::uint64_t seed) const
         for (std::size_t i = 0; i < chunk; ++i) wave.push_back(Genome::random(space_, rng));
         draws += chunk;
         evals.assign(chunk, Evaluation{});
-        batch_eval.evaluate(evaluator, wave, std::span<Evaluation>{evals});
+        pipeline.evaluate_wave(wave, evals);
         for (std::size_t i = 0; i < chunk; ++i) {
             if (!seen.insert(wave[i]).second) continue;  // revisit, free
             ++distinct;
@@ -113,24 +85,12 @@ Curve RandomSearch::run(std::uint64_t seed) const
         }
     }
     if (progress != nullptr) progress->on_run_end();
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "random")
-            .add("distinct_evals", evaluator.distinct_evaluations())
-            .add("total_calls", evaluator.total_calls())
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("draws", draws)
+    pipeline.emit_run_end("random", [&](obs::TraceEvent& ev) {
+        ev.add("draws", draws)
             .add("feasible", obs::FieldValue{have_best})
-            .add("best", obs::FieldValue{have_best ? best : 0.0})
-            .add("eval_seconds", obs::FieldValue{batch_eval.eval_seconds()})
-            .add("attempts", std::size_t{guard.counters().attempts})
-            .add("retries", std::size_t{guard.counters().retries})
-            .add("quarantined", std::size_t{guard.counters().quarantined});
-        if (store != nullptr)
-            ev.add("store_hits", store_hits.load(std::memory_order_relaxed))
-                .add("store_misses", store_misses.load(std::memory_order_relaxed));
-        tracer.emit(std::move(ev));
-    }
+            .add("best", obs::FieldValue{have_best ? best : 0.0});
+    });
+    if (totals != nullptr) pipeline.fill(*totals);
     return curve;
 }
 

@@ -20,6 +20,8 @@
 
 namespace nautilus {
 
+struct EvalTotals;  // core/eval_pipeline.hpp
+
 struct RandomSearchConfig {
     std::size_t max_distinct_evals = 800;
     std::uint64_t seed = 7;
@@ -46,7 +48,8 @@ public:
                  EvalFn eval);
 
     // One run: draw uniformly until the distinct-evaluation budget is spent.
-    Curve run(std::uint64_t seed) const;
+    // `totals`, when non-null, receives the run's evaluation accounting.
+    Curve run(std::uint64_t seed, EvalTotals* totals = nullptr) const;
 
     MultiRunCurve run_many(std::size_t count) const;
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/eval_pipeline.hpp"
 #include "core/ga.hpp"
 #include "core/local_search.hpp"
 #include "core/nautilus.hpp"
@@ -89,11 +90,16 @@ std::uint64_t store_namespace(const JobSpec& spec)
     return EvalStore::namespace_key(context);
 }
 
-void absorb_curve(JobOutcome& out, const Curve& curve)
+// Eval accounting comes from the pipeline totals every engine reports
+// (RunResult, MultiObjectiveResult and EvalTotals share the field names).
+template <typename Totals>
+void absorb_totals(JobOutcome& out, const Totals& t)
 {
-    out.feasible = !curve.empty();
-    if (out.feasible) out.best = curve.final_best();
-    out.distinct_evals = static_cast<std::size_t>(curve.final_evals());
+    out.distinct_evals = t.distinct_evals;
+    out.total_eval_calls = t.total_eval_calls;
+    out.store_hits = t.store_hits;
+    out.store_misses = t.store_misses;
+    out.retries = t.fault.retries;
 }
 
 JobOutcome run_ga(const ip::IpGenerator& generator, const JobSpec& spec,
@@ -131,12 +137,8 @@ JobOutcome run_ga(const ip::IpGenerator& generator, const JobSpec& spec,
         out.best = r.best_eval.value;
         out.best_genome = r.best_genome.to_string(generator.space());
     }
-    out.distinct_evals = r.distinct_evals;
-    out.total_eval_calls = r.total_eval_calls;
-    out.store_hits = r.store_hits;
-    out.store_misses = r.store_misses;
+    absorb_totals(out, r);
     out.start_generation = r.start_generation;
-    out.retries = r.fault.retries;
     return out;
 }
 
@@ -185,12 +187,8 @@ JobOutcome run_nsga2(const ip::IpGenerator& generator, const JobSpec& spec,
     out.front.reserve(r.front.size());
     for (const FrontPoint& p : r.front)
         out.front.push_back({p.genome.to_string(generator.space()), p.values});
-    out.distinct_evals = r.distinct_evals;
-    out.total_eval_calls = r.total_eval_calls;
-    out.store_hits = r.store_hits;
-    out.store_misses = r.store_misses;
+    absorb_totals(out, r);
     out.start_generation = r.start_generation;
-    out.retries = r.fault.retries;
     return out;
 }
 
@@ -202,7 +200,8 @@ JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
     const Direction direction = direction_of(spec);
     const EvalFn eval = generator.metric_eval(metric);
 
-    JobOutcome out;
+    EvalTotals totals;
+    Curve curve{direction};
     if (spec.engine == "random") {
         RandomSearchConfig rs;
         rs.max_distinct_evals = spec.evals;
@@ -213,7 +212,7 @@ JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
             rs.store = inputs.store;
             rs.store_namespace = store_namespace(spec);
         }
-        absorb_curve(out, RandomSearch{generator.space(), rs, direction, eval}.run(spec.seed));
+        curve = RandomSearch{generator.space(), rs, direction, eval}.run(spec.seed, &totals);
     }
     else if (spec.engine == "sa") {
         AnnealingConfig sa;
@@ -225,9 +224,9 @@ JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
             sa.store = inputs.store;
             sa.store_namespace = store_namespace(spec);
         }
-        absorb_curve(out, SimulatedAnnealing{generator.space(), sa, direction, eval,
-                                             hints_for(generator, spec, metric, direction)}
-                              .run(spec.seed));
+        curve = SimulatedAnnealing{generator.space(), sa, direction, eval,
+                                   hints_for(generator, spec, metric, direction)}
+                    .run(spec.seed, &totals);
     }
     else {
         HillClimbConfig hc;
@@ -239,10 +238,15 @@ JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
             hc.store = inputs.store;
             hc.store_namespace = store_namespace(spec);
         }
-        absorb_curve(out, HillClimber{generator.space(), hc, direction, eval,
-                                      hints_for(generator, spec, metric, direction)}
-                              .run(spec.seed));
+        curve = HillClimber{generator.space(), hc, direction, eval,
+                            hints_for(generator, spec, metric, direction)}
+                    .run(spec.seed, &totals);
     }
+
+    JobOutcome out;
+    out.feasible = !curve.empty();
+    if (out.feasible) out.best = curve.final_best();
+    absorb_totals(out, totals);
     return out;
 }
 
@@ -280,7 +284,6 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
     // `trace_inspect --check`); queue wait comes from the scheduler.  Pure
     // observation: zero RNG, so determinism gates are untouched.
     if (inputs.job_id != 0 && inst.tracer.enabled()) {
-        const bool evolutionary = spec.engine == "ga" || spec.engine == "nsga2";
         obs::TraceEvent ev{"job_summary"};
         ev.add("job_id", obs::FieldValue{inputs.job_id});
         if (inputs.request_id != 0)
@@ -292,9 +295,9 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
             .add("halted", obs::FieldValue{out.halted})
             .add("distinct_evals", out.distinct_evals)
             .add("fresh_evals", out.distinct_evals - std::min(out.store_hits,
-                                                              out.distinct_evals));
-        if (evolutionary)
-            ev.add("store_hits", out.store_hits).add("retries", out.retries);
+                                                              out.distinct_evals))
+            .add("store_hits", out.store_hits)
+            .add("retries", out.retries);
         inst.tracer.emit(std::move(ev));
     }
     return out;

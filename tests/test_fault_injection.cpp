@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/ga.hpp"
+#include "core/local_search.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 
 namespace nautilus {
 namespace {
@@ -255,6 +263,70 @@ TEST(FaultInjectionIntegration, ChaoticGaRunIsWorkerCountIndependent)
     EXPECT_EQ(serial.fault.quarantined, parallel.fault.quarantined);
     EXPECT_DOUBLE_EQ(serial.best_eval.value, parallel.best_eval.value);
     EXPECT_EQ(serial.final_rng_state, parallel.final_rng_state);
+}
+
+// SA and HC share the GA's evaluation pipeline, so their run_end carries
+// the same fault block and trace_inspect --check must reconcile
+// attempts == distinct + retries for them too.  The traces are handed to the
+// real trace_inspect binary, exactly as CI inspects a chaos run.
+TEST(FaultInjectionIntegration, LocalSearchRunEndReconcilesUnderTraceInspect)
+{
+    const auto space = toy_space();
+    for (const char* engine : {"sa", "hc"}) {
+        SCOPED_TRACE(engine);
+        FaultInjectionConfig cfg;
+        cfg.fail_rate = 0.25;
+        cfg.seed = 0xc4a05;
+        FaultInjectingEvaluator injector{sum_eval, cfg};
+        const std::string path =
+            ::testing::TempDir() + "nautilus_fault_" + engine + ".trace.jsonl";
+        std::remove(path.c_str());
+        obs::Instrumentation inst;
+        inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(path)};
+        FaultPolicy fault;
+        fault.retry.max_attempts = 2;
+        fault.tolerate_failures = true;
+
+        if (std::string{engine} == "sa") {
+            AnnealingConfig sa;
+            sa.max_distinct_evals = 80;
+            sa.eval_workers = 2;
+            sa.fault = fault;
+            sa.obs = inst;
+            (void)SimulatedAnnealing{space, sa, Direction::maximize, injector.as_eval_fn(),
+                                     HintSet::none(space)}
+                .run(5);
+        }
+        else {
+            HillClimbConfig hc;
+            hc.max_distinct_evals = 80;
+            hc.eval_workers = 2;
+            hc.fault = fault;
+            hc.obs = inst;
+            (void)HillClimber{space, hc, Direction::maximize, injector.as_eval_fn(),
+                              HintSet::none(space)}
+                .run(5);
+        }
+        inst.tracer.sink()->flush();
+
+        obs::TraceReader reader{path};
+        std::optional<obs::TraceEvent> run_end;
+        while (reader.next())
+            if (reader.event().type == "run_end") run_end = reader.event();
+        ASSERT_EQ(reader.parse_errors(), 0u);
+        ASSERT_TRUE(run_end.has_value());
+        const auto attempts = run_end->unsigned_int("attempts");
+        const auto retries = run_end->unsigned_int("retries");
+        const auto distinct = run_end->unsigned_int("distinct_evals");
+        ASSERT_TRUE(attempts && retries && distinct) << "run_end lacks the fault block";
+        EXPECT_GT(*retries, 0u);  // chaos actually fired
+        EXPECT_GT(run_end->unsigned_int("eval_failures").value_or(0), 0u);
+        EXPECT_EQ(*attempts, *distinct + *retries);
+
+        const std::string command =
+            std::string{NAUTILUS_TRACE_INSPECT} + " " + path + " --check";
+        EXPECT_EQ(std::system(command.c_str()), 0) << command;
+    }
 }
 
 }  // namespace

@@ -18,13 +18,13 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/lineage.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 
 using nautilus::obs::BirthOp;
 using nautilus::obs::BirthRecord;
@@ -268,8 +268,8 @@ int main(int argc, char** argv)
     }
     if (path.empty()) usage(argv[0]);
 
-    std::ifstream in{path};
-    if (!in) {
+    nautilus::obs::TraceReader reader{path};
+    if (!reader.is_open()) {
         std::fprintf(stderr, "lineage_report: cannot read %s\n", path.c_str());
         return 1;
     }
@@ -278,16 +278,9 @@ int main(int argc, char** argv)
     std::optional<std::size_t> open_run;
     std::size_t parse_errors = 0;
 
-    std::string line;
-    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
-        if (line.empty()) continue;
-        const std::optional<TraceEvent> parsed = nautilus::obs::parse_jsonl_line(line);
-        if (!parsed) {
-            ++parse_errors;
-            std::fprintf(stderr, "%s:%zu: unparseable trace line\n", path.c_str(), lineno);
-            continue;
-        }
-        const TraceEvent& ev = *parsed;
+    while (reader.next()) {
+        const TraceEvent& ev = reader.event();
+        const std::size_t lineno = reader.line();
         if (ev.type == "run_start") {
             RunLineage run;
             run.engine = ev.string("engine").value_or("?");
@@ -330,6 +323,7 @@ int main(int argc, char** argv)
             run.summary = parse_summary(ev);
         }
     }
+    parse_errors += reader.parse_errors();
 
     if (runs.empty()) {
         std::fprintf(stderr, "lineage_report: %s holds no runs\n", path.c_str());

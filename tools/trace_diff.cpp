@@ -33,13 +33,12 @@
 //                               evaluations from the store (default 99)
 //     --min-store-hit-rate P    override the hit-rate floor
 //
-// Exit status: 0 all gates pass, 1 gate failure or unreadable/empty trace,
-// 2 bad usage.
+// Exit status: 0 all gates pass, 1 gate failure or an unreadable, empty or
+// corrupt trace (any unparseable line), 2 bad usage.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 
 using nautilus::obs::TraceEvent;
 
@@ -95,19 +95,15 @@ struct TraceSummary {
 
 std::optional<TraceSummary> load(const std::string& path)
 {
-    std::ifstream in{path};
-    if (!in) {
+    nautilus::obs::TraceReader reader{path};
+    if (!reader.is_open()) {
         std::fprintf(stderr, "trace_diff: cannot read %s\n", path.c_str());
         return std::nullopt;
     }
     TraceSummary sum;
     std::optional<std::size_t> open_run;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const std::optional<TraceEvent> parsed = nautilus::obs::parse_jsonl_line(line);
-        if (!parsed) continue;
-        const TraceEvent& ev = *parsed;
+    while (reader.next()) {
+        const TraceEvent& ev = reader.event();
         ++sum.events;
         if (ev.type == "run_start") {
             RunSummary run;
@@ -141,6 +137,13 @@ std::optional<TraceSummary> load(const std::string& path)
             sum.span_seconds[ev.string("name").value_or("?")] +=
                 ev.number("seconds").value_or(0.0);
         }
+    }
+    // A corrupt line could hide exactly the event a gate needs, so an
+    // unparseable input fails the diff instead of being compared partially.
+    if (reader.parse_errors() > 0) {
+        std::fprintf(stderr, "trace_diff: %s has %zu unparseable line(s)\n", path.c_str(),
+                     reader.parse_errors());
+        return std::nullopt;
     }
     if (sum.events == 0) {
         std::fprintf(stderr, "trace_diff: %s holds no events\n", path.c_str());

@@ -48,6 +48,7 @@
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 
 using nautilus::obs::TraceEvent;
 
@@ -180,8 +181,8 @@ int main(int argc, char** argv)
     }
     if (path.empty()) usage(argv[0]);
 
-    std::ifstream in{path};
-    if (!in) {
+    nautilus::obs::TraceReader reader{path};
+    if (!reader.is_open()) {
         std::fprintf(stderr, "trace_inspect: cannot read %s\n", path.c_str());
         return 1;
     }
@@ -196,21 +197,12 @@ int main(int argc, char** argv)
     std::uint64_t target_draws = 0;
     std::uint64_t uniform_draws = 0;
     std::uint64_t genes_mutated = 0;
-    std::size_t lines = 0;
-    std::size_t parse_errors = 0;
+    std::size_t parse_errors = 0;  // unparseable lines plus structural errors
     double last_t = 0.0;
 
-    std::string line;
-    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
-        if (line.empty()) continue;
-        ++lines;
-        const std::optional<TraceEvent> parsed = nautilus::obs::parse_jsonl_line(line);
-        if (!parsed) {
-            ++parse_errors;
-            std::fprintf(stderr, "%s:%zu: unparseable trace line\n", path.c_str(), lineno);
-            continue;
-        }
-        const TraceEvent& ev = *parsed;
+    while (reader.next()) {
+        const TraceEvent& ev = reader.event();
+        const std::size_t lineno = reader.line();
         if (!chrome_out.empty()) chrome_events.push_back(ev);
         ++counts[ev.type];
         last_t = ev.t;
@@ -407,6 +399,8 @@ int main(int argc, char** argv)
         }
     }
 
+    const std::size_t lines = reader.lines();
+    parse_errors += reader.parse_errors();
     if (lines == 0) {
         std::fprintf(stderr, "trace_inspect: %s holds no events\n", path.c_str());
         return 1;
