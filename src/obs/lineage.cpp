@@ -1,6 +1,7 @@
 #include "obs/lineage.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 namespace nautilus::obs {
@@ -410,6 +411,27 @@ std::string to_json(const LineageCounters& counters)
     }
     out += '}';
     return out;
+}
+
+std::string to_text(const LineageCounters& counters)
+{
+    if (!counters.have_last) return {};
+    const LineageSummary& s = counters.last;
+    std::ostringstream out;
+    out << "lineage (" << counters.engine << ", last of " << counters.runs << " runs): "
+        << s.births << " births (" << s.roots << " roots, " << s.elites << " elites, "
+        << s.mutation_births << " mutation, " << s.crossover_births << " crossover), "
+        << s.survived << " survived, " << s.improved << " improved\n"
+        << "  hint efficacy (offspring/survived/improved): bias " << s.offspring_bias << '/'
+        << s.survived_bias << '/' << s.improved_bias << ", target " << s.offspring_target
+        << '/' << s.survived_target << '/' << s.improved_target << ", uniform "
+        << s.offspring_uniform << '/' << s.survived_uniform << '/' << s.improved_uniform
+        << '\n';
+    if (s.have_winner)
+        out << "  winner genes: " << s.winner_bias << " bias, " << s.winner_target
+            << " target, " << s.winner_uniform << " uniform, " << s.winner_fresh << " fresh, "
+            << s.winner_repair << " repair (ancestry depth " << s.winner_depth << ")\n";
+    return out.str();
 }
 
 void LineageTracker::on_birth(BirthOp op, std::span<const GeneOrigin> origins)

@@ -204,6 +204,11 @@ struct LineageCounters {
 
 std::string to_json(const LineageCounters& counters);
 
+// The end-of-run efficacy summary: the last finished run's per-hint-class
+// offspring -> survived -> improved funnel plus winner attribution, as
+// printed by `nautilus_cli --lineage`.  Empty until a run has finished.
+std::string to_text(const LineageCounters& counters);
+
 // Thread-safe sink shared between the recording engine thread and HTTP
 // scrape threads.  Counter updates are relaxed atomics; the last-run summary
 // block is guarded by a mutex (same discipline as ProgressTracker).

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/eval_pipeline.hpp"
+#include "core/fault_injection.hpp"
 #include "core/ga.hpp"
 #include "core/local_search.hpp"
 #include "core/nautilus.hpp"
@@ -24,40 +25,9 @@ namespace {
 
 using ip::Metric;
 
-// Resolve a metric name and confirm the generator actually models it --
-// a spec naming a metric this IP never sets would otherwise run a full
-// budget of evaluations and report "no feasible design", which is a
-// misleading answer to a configuration error.
-Metric metric_or_throw(const ip::IpGenerator& generator, const std::string& name)
-{
-    const auto m = ip::metric_from_name(name);
-    if (!m) throw std::invalid_argument("unknown metric '" + name + "'");
-    const auto provided = generator.metrics();
-    for (const Metric p : provided)
-        if (p == *m) return *m;
-    std::string names;
-    for (const Metric p : provided) {
-        if (!names.empty()) names += ", ";
-        names += ip::metric_name(p);
-    }
-    throw std::invalid_argument("ip '" + generator.name() + "' does not provide metric '" +
-                                name + "' (available: " + names + ")");
-}
-
 Direction direction_of(const JobSpec& spec)
 {
     return spec.direction == "min" ? Direction::minimize : Direction::maximize;
-}
-
-HintSet hints_for(const ip::IpGenerator& generator, const JobSpec& spec, Metric metric,
-                  Direction direction)
-{
-    if (spec.guidance == "weak" || spec.guidance == "strong") {
-        const GuidanceLevel level =
-            spec.guidance == "weak" ? GuidanceLevel::weak : GuidanceLevel::strong;
-        return apply_guidance(generator.author_hints(metric), direction, level);
-    }
-    return HintSet::none(generator.space());
 }
 
 obs::Instrumentation instrumentation_for(const JobRunInputs& inputs)
@@ -66,6 +36,8 @@ obs::Instrumentation instrumentation_for(const JobRunInputs& inputs)
     if (!inputs.trace_path.empty())
         inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(inputs.trace_path)};
     inst.progress = inputs.progress;
+    inst.lineage = inputs.lineage;
+    inst.metrics = inputs.metrics;
     // Server jobs tag run_start with their identity so one grep on a
     // request id joins the trace against the access and server logs.
     if (inputs.job_id != 0) {
@@ -81,8 +53,8 @@ bool checkpoint_exists(const std::string& path)
     return !path.empty() && std::ifstream{path}.good();
 }
 
-// The store namespace is derived from ip + metric(s) exactly like the
-// single-run CLI, so server jobs and standalone runs share records.
+// The store namespace is derived from ip + metric(s), so server jobs and
+// standalone runs of the same query share records.
 std::uint64_t store_namespace(const JobSpec& spec)
 {
     std::string context = spec.ip + "/" + spec.metric;
@@ -99,35 +71,65 @@ void absorb_totals(JobOutcome& out, const Totals& t)
     out.total_eval_calls = t.total_eval_calls;
     out.store_hits = t.store_hits;
     out.store_misses = t.store_misses;
-    out.retries = t.fault.retries;
+    out.fault = t.fault;
 }
 
-JobOutcome run_ga(const ip::IpGenerator& generator, const JobSpec& spec,
-                  const JobRunInputs& inputs, std::size_t workers,
-                  const obs::Instrumentation& inst)
-{
-    const Metric metric = metric_or_throw(generator, spec.metric);
-    const Direction direction = direction_of(spec);
+// One job's resolved pieces, shared by the per-engine runners.
+struct Job {
+    const ip::IpGenerator& generator;
+    const JobSpec& spec;
+    const JobRunInputs& inputs;
+    std::size_t workers;
+    obs::Instrumentation inst;
+    Metric metric;
+    Direction direction;
+    EvalFn eval;  // the scalar objective, chaos-wrapped when requested
 
-    GaConfig ga;
-    ga.generations = spec.generations;
-    if (spec.population != 0) ga.population_size = spec.population;
-    ga.seed = spec.seed;
-    ga.eval_workers = workers;
-    ga.obs = inst;
-    ga.cancel = inputs.cancel;
-    ga.checkpoint_path = inputs.checkpoint_path;
-    ga.halt_at_generation = inputs.halt_at_generation;
-    if (inputs.store) {
-        ga.store = inputs.store;
-        ga.store_namespace = store_namespace(spec);
+    // What every engine config takes from the job the same way.
+    template <typename Config>
+    void attach(Config& c) const
+    {
+        c.seed = spec.seed;
+        c.eval_workers = workers;
+        c.obs = inst;
+        c.fault = inputs.fault;
+        if (inputs.store) {
+            c.store = inputs.store;
+            c.store_namespace = store_namespace(spec);
+        }
     }
 
-    const GaEngine engine{generator.space(), ga, direction,
-                          generator.metric_eval(metric),
-                          hints_for(generator, spec, metric, direction)};
-    const RunResult r = checkpoint_exists(inputs.checkpoint_path)
-                            ? engine.resume(inputs.checkpoint_path)
+    // The generational engines (ga, nsga2) also take the budget, population,
+    // cancel token and checkpoint wiring.
+    template <typename Config>
+    void attach_generational(Config& c) const
+    {
+        attach(c);
+        c.generations = spec.generations;
+        if (spec.population != 0) c.population_size = spec.population;
+        c.cancel = inputs.cancel;
+        c.checkpoint_path = inputs.checkpoint_path;
+        c.halt_at_generation = inputs.halt_at_generation;
+    }
+
+    HintSet hints() const
+    {
+        if (spec.guidance == "weak" || spec.guidance == "strong") {
+            const GuidanceLevel level =
+                spec.guidance == "weak" ? GuidanceLevel::weak : GuidanceLevel::strong;
+            return apply_guidance(generator.author_hints(metric), direction, level);
+        }
+        return HintSet::none(generator.space());
+    }
+};
+
+JobOutcome run_ga(const Job& job)
+{
+    GaConfig ga;
+    job.attach_generational(ga);
+    const GaEngine engine{job.generator.space(), ga, job.direction, job.eval, job.hints()};
+    const RunResult r = checkpoint_exists(ga.checkpoint_path)
+                            ? engine.resume(ga.checkpoint_path)
                             : engine.run();
 
     JobOutcome out;
@@ -135,22 +137,20 @@ JobOutcome run_ga(const ip::IpGenerator& generator, const JobSpec& spec,
     out.feasible = r.best_eval.feasible;
     if (out.feasible) {
         out.best = r.best_eval.value;
-        out.best_genome = r.best_genome.to_string(generator.space());
+        out.best_genome = r.best_genome.to_string(job.generator.space());
     }
     absorb_totals(out, r);
     out.start_generation = r.start_generation;
     return out;
 }
 
-JobOutcome run_nsga2(const ip::IpGenerator& generator, const JobSpec& spec,
-                     const JobRunInputs& inputs, std::size_t workers,
-                     const obs::Instrumentation& inst)
+JobOutcome run_nsga2(const Job& job)
 {
-    const Metric first = metric_or_throw(generator, spec.metric);
-    const Metric second = metric_or_throw(generator, spec.metric2);
-    const Direction direction = direction_of(spec);
-    const std::vector<Direction> dirs{direction, ip::metric_default_direction(second)};
+    const Metric first = job.metric;
+    const Metric second = metric_or_throw(job.generator, job.spec.metric2);
+    const std::vector<Direction> dirs{job.direction, ip::metric_default_direction(second)};
 
+    const ip::IpGenerator& generator = job.generator;
     const MultiEvalFn eval = [&generator, first,
                               second](const Genome& g) -> std::optional<std::vector<double>> {
         const auto mv = generator.evaluate(g);
@@ -162,23 +162,10 @@ JobOutcome run_nsga2(const ip::IpGenerator& generator, const JobSpec& spec,
     };
 
     MultiObjectiveConfig mo;
-    mo.generations = spec.generations;
-    if (spec.population != 0) mo.population_size = spec.population;
-    mo.seed = spec.seed;
-    mo.eval_workers = workers;
-    mo.obs = inst;
-    mo.cancel = inputs.cancel;
-    mo.checkpoint_path = inputs.checkpoint_path;
-    mo.halt_at_generation = inputs.halt_at_generation;
-    if (inputs.store) {
-        mo.store = inputs.store;
-        mo.store_namespace = store_namespace(spec);
-    }
-
-    const Nsga2Engine engine{generator.space(), mo, dirs, eval,
-                             hints_for(generator, spec, first, direction)};
-    const MultiObjectiveResult r = checkpoint_exists(inputs.checkpoint_path)
-                                       ? engine.resume(inputs.checkpoint_path)
+    job.attach_generational(mo);
+    const Nsga2Engine engine{generator.space(), mo, dirs, eval, job.hints()};
+    const MultiObjectiveResult r = checkpoint_exists(mo.checkpoint_path)
+                                       ? engine.resume(mo.checkpoint_path)
                                        : engine.run();
 
     JobOutcome out;
@@ -192,55 +179,31 @@ JobOutcome run_nsga2(const ip::IpGenerator& generator, const JobSpec& spec,
     return out;
 }
 
-JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
-                        const JobRunInputs& inputs, std::size_t workers,
-                        const obs::Instrumentation& inst)
+JobOutcome run_budgeted(const Job& job)
 {
-    const Metric metric = metric_or_throw(generator, spec.metric);
-    const Direction direction = direction_of(spec);
-    const EvalFn eval = generator.metric_eval(metric);
-
+    const JobSpec& spec = job.spec;
+    const ParameterSpace& space = job.generator.space();
     EvalTotals totals;
-    Curve curve{direction};
+    Curve curve{job.direction};
     if (spec.engine == "random") {
         RandomSearchConfig rs;
         rs.max_distinct_evals = spec.evals;
-        rs.seed = spec.seed;
-        rs.eval_workers = workers;
-        rs.obs = inst;
-        if (inputs.store) {
-            rs.store = inputs.store;
-            rs.store_namespace = store_namespace(spec);
-        }
-        curve = RandomSearch{generator.space(), rs, direction, eval}.run(spec.seed, &totals);
+        job.attach(rs);
+        curve = RandomSearch{space, rs, job.direction, job.eval}.run(spec.seed, &totals);
     }
     else if (spec.engine == "sa") {
         AnnealingConfig sa;
         sa.max_distinct_evals = spec.evals;
-        sa.seed = spec.seed;
-        sa.eval_workers = workers;
-        sa.obs = inst;
-        if (inputs.store) {
-            sa.store = inputs.store;
-            sa.store_namespace = store_namespace(spec);
-        }
-        curve = SimulatedAnnealing{generator.space(), sa, direction, eval,
-                                   hints_for(generator, spec, metric, direction)}
-                    .run(spec.seed, &totals);
+        job.attach(sa);
+        curve = SimulatedAnnealing{space, sa, job.direction, job.eval, job.hints()}.run(
+            spec.seed, &totals);
     }
     else {
         HillClimbConfig hc;
         hc.max_distinct_evals = spec.evals;
-        hc.seed = spec.seed;
-        hc.eval_workers = workers;
-        hc.obs = inst;
-        if (inputs.store) {
-            hc.store = inputs.store;
-            hc.store_namespace = store_namespace(spec);
-        }
-        curve = HillClimber{generator.space(), hc, direction, eval,
-                            hints_for(generator, spec, metric, direction)}
-                    .run(spec.seed, &totals);
+        job.attach(hc);
+        curve = HillClimber{space, hc, job.direction, job.eval, job.hints()}.run(spec.seed,
+                                                                                 &totals);
     }
 
     JobOutcome out;
@@ -262,20 +225,50 @@ std::unique_ptr<ip::IpGenerator> make_generator(const std::string& ip)
     throw std::invalid_argument("unknown ip '" + ip + "' (expected router, fft, network)");
 }
 
+ip::Metric metric_or_throw(const ip::IpGenerator& generator, const std::string& name)
+{
+    const auto m = ip::metric_from_name(name);
+    if (!m) throw std::invalid_argument("unknown metric '" + name + "'");
+    const auto provided = generator.metrics();
+    for (const Metric p : provided)
+        if (p == *m) return *m;
+    std::string names;
+    for (const Metric p : provided) {
+        if (!names.empty()) names += ", ";
+        names += ip::metric_name(p);
+    }
+    throw std::invalid_argument("ip '" + generator.name() + "' does not provide metric '" +
+                                name + "' (available: " + names + ")");
+}
+
 JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
 {
     const std::unique_ptr<ip::IpGenerator> generator = make_generator(spec.ip);
+    const Metric metric = metric_or_throw(*generator, spec.metric);
+    EvalFn eval = generator->metric_eval(metric);
+    std::unique_ptr<FaultInjectingEvaluator> chaos;
+    if (inputs.chaos) {
+        if (spec.engine == "nsga2")
+            throw std::invalid_argument(
+                "chaos injection wraps a scalar evaluation function; engine 'nsga2' "
+                "evaluates two objectives");
+        chaos = std::make_unique<FaultInjectingEvaluator>(std::move(eval), *inputs.chaos);
+        eval = chaos->as_eval_fn();
+    }
     const std::size_t workers = inputs.workers != 0 ? inputs.workers : spec.workers;
-    const obs::Instrumentation inst = instrumentation_for(inputs);
+    const Job job{*generator, spec, inputs, workers, instrumentation_for(inputs),
+                  metric, direction_of(spec), std::move(eval)};
+    const obs::Instrumentation& inst = job.inst;
 
     const auto started = std::chrono::steady_clock::now();
-    JobOutcome out;
-    if (spec.engine == "ga")
-        out = run_ga(*generator, spec, inputs, workers, inst);
-    else if (spec.engine == "nsga2")
-        out = run_nsga2(*generator, spec, inputs, workers, inst);
-    else
-        out = run_budgeted(*generator, spec, inputs, workers, inst);
+    JobOutcome out = spec.engine == "ga"      ? run_ga(job)
+                     : spec.engine == "nsga2" ? run_nsga2(job)
+                                              : run_budgeted(job);
+    if (chaos) {
+        out.injected_failures = chaos->injected_failures();
+        out.injected_hangs = chaos->injected_hangs();
+        out.injected_flaky = chaos->injected_flaky();
+    }
     const double run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
 
@@ -297,7 +290,7 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
             .add("fresh_evals", out.distinct_evals - std::min(out.store_hits,
                                                               out.distinct_evals))
             .add("store_hits", out.store_hits)
-            .add("retries", out.retries);
+            .add("retries", std::size_t{out.fault.retries});
         inst.tracer.emit(std::move(ev));
     }
     return out;

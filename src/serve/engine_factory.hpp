@@ -12,11 +12,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/eval_store.hpp"
+#include "core/fault.hpp"
+#include "core/fault_injection.hpp"
 #include "ip/ip_generator.hpp"
+#include "obs/lineage.hpp"
+#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "serve/job_spec.hpp"
 
@@ -26,6 +31,12 @@ namespace nautilus::serve {
 // for unknown names (parse_job_spec already validates, so this only fires
 // on hand-built specs).
 std::unique_ptr<ip::IpGenerator> make_generator(const std::string& ip);
+
+// Resolve a metric name and confirm the generator models it.  Throws
+// std::invalid_argument naming the metrics the IP does provide: a metric
+// the IP never sets would otherwise run a full budget of evaluations and
+// report "no feasible design", a misleading answer to a configuration error.
+ip::Metric metric_or_throw(const ip::IpGenerator& generator, const std::string& name);
 
 // Everything the surrounding system attaches to one run.  All members are
 // optional; a default-constructed JobRunInputs runs the spec bare.
@@ -40,6 +51,13 @@ struct JobRunInputs {
                                        // resumes from it (bit-exactly).
     std::shared_ptr<const std::atomic<bool>> cancel;  // cooperative cancel token
     std::shared_ptr<obs::ProgressTracker> progress;   // live /jobs/<id> progress
+    std::shared_ptr<obs::LineageTracker> lineage;     // live hint-class attribution
+    std::shared_ptr<obs::MetricsRegistry> metrics;    // engine/eval counters
+    // Retry/timeout/quarantine policy, applied to every engine's fault guard.
+    FaultPolicy fault;
+    // Seeded chaos wrapped around the scalar evaluation function (`--chaos-*`);
+    // rejected for nsga2, whose evaluation is multi-objective.
+    std::optional<FaultInjectionConfig> chaos;
     // Test hook mirroring `--die-at-gen`: halt with a checkpoint at this
     // generation (ga/nsga2 only; 0 = never).
     std::size_t halt_at_generation = 0;
@@ -71,11 +89,18 @@ struct JobOutcome {
     std::size_t store_hits = 0;
     std::size_t store_misses = 0;
     std::size_t start_generation = 0;  // nonzero when resumed from a checkpoint
-    std::size_t retries = 0;           // fault-guard retries
+    FaultCounters fault;               // the run's fault-guard counters
+    // What the chaos injector did (all zero without JobRunInputs::chaos).
+    std::uint64_t injected_failures = 0;
+    std::uint64_t injected_hangs = 0;
+    std::uint64_t injected_flaky = 0;
 };
 
-// Run one job to completion or to a cancel/halt boundary.  Throws on
-// configuration errors (bad checkpoint fingerprint, unwritable trace path).
+// Run one job to completion or to a cancel/halt boundary.  Throws
+// std::invalid_argument on configuration errors (a metric the IP does not
+// provide, bad fault or chaos settings, chaos on nsga2) and
+// std::runtime_error on run-time ones (unwritable trace, unreadable
+// checkpoint, a checkpoint written by a different search).
 JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs);
 
 }  // namespace nautilus::serve

@@ -41,6 +41,10 @@ struct JobSpec {
     bool evolutionary() const { return engine == "ga" || engine == "nsga2"; }
 };
 
+// The metric a search optimizes when none is named: one table for job
+// specs and every CLI mode.  Unknown IPs get the router's default.
+const char* default_metric_name(std::string_view ip);
+
 // Parse and validate one spec.  Throws std::invalid_argument with an
 // actionable message on malformed JSON, unknown fields/engines/metrics,
 // missing budgets or non-positive worker counts.  Defaults (metric,

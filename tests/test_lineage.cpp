@@ -423,6 +423,38 @@ TEST(LineageNsga2, BirthsCoverBroodAndWinnersAreTheFront)
     EXPECT_EQ(cfg.obs.lineage->counters().births, roots + born);
 }
 
+TEST(LineageTracker, TextSummaryReportsTheLastFinishedRun)
+{
+    obs::LineageTracker tracker;
+    EXPECT_EQ(obs::to_text(tracker.counters()), "");
+
+    obs::LineageSummary s;
+    s.births = 20;
+    s.roots = 4;
+    s.crossover_births = 16;
+    s.offspring_bias = 7;
+    s.survived_bias = 3;
+    s.improved_bias = 1;
+    tracker.on_run_finish("ga", s);
+    EXPECT_EQ(obs::to_text(tracker.counters()),
+              "lineage (ga, last of 1 runs): 20 births (4 roots, 0 elites, 0 mutation, "
+              "16 crossover), 0 survived, 0 improved\n"
+              "  hint efficacy (offspring/survived/improved): bias 7/3/1, target 0/0/0, "
+              "uniform 0/0/0\n");
+
+    s.have_winner = true;
+    s.winner_bias = 2;
+    s.winner_fresh = 5;
+    s.winner_depth = 3;
+    tracker.on_run_finish("ga", s);
+    const std::string text = obs::to_text(tracker.counters());
+    EXPECT_NE(text.find("last of 2 runs"), std::string::npos) << text;
+    EXPECT_NE(text.find("  winner genes: 2 bias, 0 target, 0 uniform, 5 fresh, 0 repair "
+                        "(ancestry depth 3)\n"),
+              std::string::npos)
+        << text;
+}
+
 // ---- local search -----------------------------------------------------------
 
 TEST(LineageLocalSearch, ChainsRecordWinners)

@@ -813,3 +813,62 @@ TEST(JobSchedulerConcurrency, LogsAndMetricsScrapeDuringGaJobIsSafe)
 }
 
 }  // namespace
+
+// What the CLI attaches beyond the spec: the fault policy reaches every
+// engine's guard, chaos wraps the scalar engines' evaluation function and
+// its injected counts come back in the outcome, and the lineage tracker and
+// metrics registry see the run.
+TEST(JobRunInputs, FaultPolicyChaosAndLiveObservabilityReachEveryScalarEngine)
+{
+    // Random search samples independently and records no lineage.
+    const struct {
+        const char* body;
+        std::uint64_t lineage_runs;
+    } cases[] = {{R"({"engine":"ga","generations":8,"seed":2015})", 1},
+                 {R"({"engine":"random","evals":60,"seed":2015})", 0},
+                 {R"({"engine":"sa","evals":60,"seed":2015})", 1},
+                 {R"({"engine":"hc","evals":60,"seed":2015})", 1}};
+    for (const auto& [body, lineage_runs] : cases) {
+        SCOPED_TRACE(body);
+        JobRunInputs inputs;
+        inputs.fault.retry.max_attempts = 3;
+        inputs.fault.tolerate_failures = true;
+        FaultInjectionConfig chaos;
+        chaos.fail_rate = 0.2;
+        inputs.chaos = chaos;
+        inputs.metrics = std::make_shared<obs::MetricsRegistry>();
+        inputs.lineage = std::make_shared<obs::LineageTracker>();
+        const JobOutcome out = run_job(parse_job_spec(body), inputs);
+
+        EXPECT_GT(out.injected_failures, 0u);
+        EXPECT_EQ(out.fault.failures, out.injected_failures);
+        EXPECT_GT(out.fault.retries, 0u);
+        EXPECT_EQ(out.fault.attempts, out.distinct_evals + out.fault.retries);
+        EXPECT_EQ(inputs.metrics->counter("eval.attempts").value(), out.fault.attempts);
+        EXPECT_EQ(inputs.lineage->counters().runs, lineage_runs);
+    }
+}
+
+TEST(JobRunInputs, ChaosIsRejectedForNsga2)
+{
+    JobRunInputs inputs;
+    inputs.chaos = FaultInjectionConfig{};
+    EXPECT_THROW(run_job(parse_job_spec(R"({"engine":"nsga2","metric2":"area_luts",)"
+                                        R"("generations":3})"),
+                         inputs),
+                 std::invalid_argument);
+}
+
+TEST(JobRunInputs, BadChaosAndMetricsAreConfigurationErrors)
+{
+    JobRunInputs inputs;
+    FaultInjectionConfig chaos;
+    chaos.fail_rate = 2.0;
+    inputs.chaos = chaos;
+    EXPECT_THROW(run_job(parse_job_spec(R"({"engine":"ga","generations":3})"), inputs),
+                 std::invalid_argument);
+    EXPECT_THROW(run_job(parse_job_spec(R"({"engine":"ga","metric":"throughput_msps",)"
+                                        R"("generations":3})"),
+                         {}),
+                 std::invalid_argument);
+}

@@ -13,7 +13,8 @@
 //                               samples (default none = baseline GA)
 //   --runs N                    runs to average (default 10)
 //   --generations N             GA generations (default 80)
-//   --population N              GA population (default 10)
+//   --population N              population (default: the engine's own, 10
+//                               for the GA and 24 for --pareto)
 //   --seed N                    experiment seed (default 2015)
 //   --workers N                 threads for population evaluation (default 1;
 //                               results are identical for any worker count)
@@ -23,8 +24,7 @@
 //   --save-dataset PATH         characterize the space and write CSV
 //   --dataset PATH              serve evaluations from a saved CSV dataset
 //   --pareto METRIC2            map the METRIC x METRIC2 Pareto front with
-//                               the multi-objective engine instead of a
-//                               single-metric query
+//                               the multi-objective engine (a job, below)
 //   --trace PATH                write a structured JSONL trace of the run
 //                               (inspect with trace_inspect; includes birth
 //                               and lineage_summary events, see lineage_report)
@@ -47,28 +47,29 @@
 //   --store-max-bytes N         evict oldest store records past N bytes
 //                               (default 0 = unlimited)
 //
-// Fault tolerance / checkpointing (single-run GA mode; any of these flags
-// switches from the multi-run experiment harness to one GA run):
-//   --checkpoint PATH           write run state to PATH every
-//                               --checkpoint-every generations (default 1)
-//   --resume PATH               resume a checkpointed run (bit-for-bit
-//                               identical to an uninterrupted one at any
-//                               --workers count)
+// One search as a job (DESIGN.md §12): --job, --pareto or any flag below
+// runs one search through serve::run_job, as the job server does.  Without
+// --job the flags build the spec (nsga2 with --pareto, else ga), checked by
+// the same validator as a spec file:
+//   --checkpoint PATH           checkpoint every generation to PATH; resume
+//                               from PATH when it exists (bit-for-bit, at
+//                               any --workers count)
+//   --resume PATH               the same, but PATH must exist
 //   --die-at-gen N              write a checkpoint at generation N and stop
 //                               (deterministic stand-in for a killed run)
 //   --retries N                 evaluation attempts per design point
 //   --retry-backoff MS          base backoff before retry 2 (exponential)
 //   --eval-timeout S            per-attempt watchdog timeout in seconds
 //   --chaos-fail R              inject failures with probability R (chaos
-//                               mode; implies quarantine-on-exhaustion)
+//                               mode; implies quarantine-on-exhaustion;
+//                               scalar engines only, not --pareto)
 //   --chaos-hang R              inject hangs (sleep) with probability R
 //   --chaos-flaky R             perturb values with probability R
 //   --chaos-seed N              fault-injection seed (default 0xc4a05)
+//   --job SPEC.json             run one job spec file standalone (the
+//                               reference side of the server determinism gate)
 //
-// Job plane (search-as-a-service; see DESIGN.md §12):
-//   --job SPEC.json             run one job spec standalone (the reference
-//                               side of the server determinism gate); honors
-//                               --trace, --store, --checkpoint, --die-at-gen
+// Job server (search-as-a-service; see DESIGN.md §12):
 //   --serve-jobs PORT           run the multi-tenant job server: POST /jobs
 //                               submits specs, GET /jobs/<id> streams
 //                               progress, DELETE /jobs/<id> cancels with a
@@ -91,26 +92,22 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "core/eval_store.hpp"
-#include "core/fault_injection.hpp"
 #include "core/hint_estimator.hpp"
 #include "core/nautilus.hpp"
-#include "core/nsga2.hpp"
 #include "exp/experiment.hpp"
+#include "ip/analysis.hpp"
 #include "obs/http_server.hpp"
 #include "obs/obs.hpp"
-#include "fft/fft_generator.hpp"
-#include "ip/analysis.hpp"
-#include "noc/network_generator.hpp"
-#include "noc/router_generator.hpp"
+#include "serve/engine_factory.hpp"
 #include "serve/scheduler.hpp"
 
 using namespace nautilus;
@@ -125,7 +122,7 @@ struct CliOptions {
     std::string guidance = "none";
     std::size_t runs = 10;
     std::size_t generations = 80;
-    std::size_t population = 10;
+    std::optional<std::size_t> population;  // unset = the engine's default
     std::uint64_t seed = 2015;
     std::size_t workers = 1;
     std::size_t samples = 80;
@@ -152,9 +149,9 @@ struct CliOptions {
     std::string log_path;            // structured server log file (JSONL)
     std::string log_level = "info";  // debug|info|warn|error
 
-    // Single-run fault-tolerance / checkpoint mode.
+    // Fault-tolerance / checkpoint flags; any of them makes the flags a job.
+    bool single_run = false;
     std::string checkpoint;
-    std::size_t checkpoint_every = 1;
     std::string resume;
     std::size_t die_at_gen = 0;
     std::size_t retries = 1;
@@ -165,11 +162,9 @@ struct CliOptions {
     double chaos_flaky = 0.0;
     std::uint64_t chaos_seed = 0xc4a05;
 
-    bool single_run() const
+    bool chaotic() const
     {
-        return !checkpoint.empty() || !resume.empty() || die_at_gen != 0 ||
-               chaos_fail > 0.0 || chaos_hang > 0.0 || chaos_flaky > 0.0 ||
-               retries > 1 || eval_timeout > 0.0;
+        return chaos_fail != 0.0 || chaos_hang != 0.0 || chaos_flaky != 0.0;
     }
 };
 
@@ -187,7 +182,7 @@ struct CliOptions {
                  "          [--job SPEC.json] [--serve-jobs PORT] [--jobs-capacity N]\n"
                  "          [--jobs-dir PATH] [--serve-duration S]\n"
                  "          [--log PATH] [--log-level debug|info|warn|error]\n"
-                 "          [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]\n"
+                 "          [--checkpoint PATH] [--resume PATH]\n"
                  "          [--die-at-gen N] [--retries N] [--retry-backoff MS]\n"
                  "          [--eval-timeout S] [--chaos-fail R] [--chaos-hang R]\n"
                  "          [--chaos-flaky R] [--chaos-seed N]\n",
@@ -218,11 +213,6 @@ std::uint64_t parse_u64(const char* argv0, const std::string& flag, const char* 
     usage(argv0);
 }
 
-std::size_t parse_count(const char* argv0, const std::string& flag, const char* text)
-{
-    return static_cast<std::size_t>(parse_u64(argv0, flag, text));
-}
-
 double parse_number(const char* argv0, const std::string& flag, const char* text)
 {
     try {
@@ -247,9 +237,17 @@ CliOptions parse(int argc, char** argv)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto count = [&](int& j) { return parse_count(argv[0], arg, need_value(j)); };
         const auto u64 = [&](int& j) { return parse_u64(argv[0], arg, need_value(j)); };
+        const auto count = [&](int& j) { return static_cast<std::size_t>(u64(j)); };
         const auto number = [&](int& j) { return parse_number(argv[0], arg, need_value(j)); };
+        const auto port = [&](int& j) {
+            const std::uint64_t p = u64(j);
+            if (p > 65535) {
+                std::fprintf(stderr, "%s port out of range (0..65535)\n", arg.c_str());
+                usage(argv[0]);
+            }
+            return static_cast<int>(p);
+        };
         if (arg == "--ip") opt.ip = need_value(i);
         else if (arg == "--metric") opt.metric = need_value(i);
         else if (arg == "--direction") opt.direction = need_value(i);
@@ -267,14 +265,7 @@ CliOptions parse(int argc, char** argv)
         else if (arg == "--trace") opt.trace_path = need_value(i);
         else if (arg == "--lineage") opt.lineage = true;
         else if (arg == "--metrics") opt.metrics = true;
-        else if (arg == "--serve") {
-            const std::uint64_t port = u64(i);
-            if (port > 65535) {
-                std::fprintf(stderr, "--serve port out of range (0..65535)\n");
-                usage(argv[0]);
-            }
-            opt.serve_port = static_cast<int>(port);
-        }
+        else if (arg == "--serve") opt.serve_port = port(i);
         else if (arg == "--serve-grace") opt.serve_grace = number(i);
         else if (arg == "--progress") {
             // Optional numeric value: `--progress 2` or bare `--progress`.
@@ -286,21 +277,13 @@ CliOptions parse(int argc, char** argv)
         else if (arg == "--store-max-bytes") opt.store_max_bytes = u64(i);
         else if (arg == "--scalar-breed") opt.scalar_breed = true;
         else if (arg == "--job") opt.job_spec = need_value(i);
-        else if (arg == "--serve-jobs") {
-            const std::uint64_t port = u64(i);
-            if (port > 65535) {
-                std::fprintf(stderr, "--serve-jobs port out of range (0..65535)\n");
-                usage(argv[0]);
-            }
-            opt.serve_jobs_port = static_cast<int>(port);
-        }
+        else if (arg == "--serve-jobs") opt.serve_jobs_port = port(i);
         else if (arg == "--jobs-capacity") opt.jobs_capacity = count(i);
         else if (arg == "--jobs-dir") opt.jobs_dir = need_value(i);
         else if (arg == "--serve-duration") opt.serve_duration = number(i);
         else if (arg == "--log") opt.log_path = need_value(i);
         else if (arg == "--log-level") opt.log_level = need_value(i);
         else if (arg == "--checkpoint") opt.checkpoint = need_value(i);
-        else if (arg == "--checkpoint-every") opt.checkpoint_every = count(i);
         else if (arg == "--resume") opt.resume = need_value(i);
         else if (arg == "--die-at-gen") opt.die_at_gen = count(i);
         else if (arg == "--retries") opt.retries = count(i);
@@ -315,6 +298,10 @@ CliOptions parse(int argc, char** argv)
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             usage(argv[0]);
         }
+        if (arg == "--checkpoint" || arg == "--resume" || arg == "--die-at-gen" ||
+            arg == "--retries" || arg == "--retry-backoff" || arg == "--eval-timeout" ||
+            arg.rfind("--chaos-", 0) == 0)
+            opt.single_run = true;
     }
     if (opt.workers == 0) {
         std::fprintf(stderr, "--workers must be at least 1\n");
@@ -323,46 +310,104 @@ CliOptions parse(int argc, char** argv)
     return opt;
 }
 
-std::unique_ptr<ip::IpGenerator> make_generator(const std::string& name)
-{
-    if (name == "router") return std::make_unique<noc::RouterGenerator>();
-    if (name == "fft")
-        return std::make_unique<fft::FftGenerator>(synth::FpgaTech::virtex6_lx760t(),
-                                                   /*measure_snr=*/false);
-    if (name == "network") return std::make_unique<noc::NetworkGenerator>();
-    std::fprintf(stderr, "unknown IP '%s' (router, fft, network)\n", name.c_str());
-    std::exit(2);
-}
-
-Metric default_metric(const std::string& ip)
-{
-    if (ip == "fft") return Metric::area_luts;
-    if (ip == "network") return Metric::bisection_gbps;
-    return Metric::freq_mhz;
-}
-
-std::shared_ptr<EvalStore> open_store(const CliOptions& opt)
+// The --store directory (null without the flag), reporting into `metrics`.
+// Throws when the store cannot be opened.
+std::shared_ptr<EvalStore> open_store(const CliOptions& opt,
+                                      const std::shared_ptr<obs::MetricsRegistry>& metrics)
 {
     if (opt.store.empty()) return nullptr;
     EvalStoreConfig sc;
     sc.path = opt.store;
     sc.max_bytes = opt.store_max_bytes;
-    return std::make_shared<EvalStore>(sc);
+    auto store = std::make_shared<EvalStore>(sc);
+    if (metrics) store->attach_metrics(metrics);
+    std::printf("evaluation store: %s (%zu records)\n", opt.store.c_str(), store->records());
+    return store;
 }
 
-// `--job SPEC.json`: run one job spec standalone through the same
-// serve::run_job entry point the scheduler uses.  This is the reference
-// side of the server determinism gate -- its trace must be byte-identical
-// to the server-side trace of the same spec.
-int run_job_mode(const CliOptions& opt)
+// The flags as a spec document.  Only flags the user set become fields, so
+// parse_job_spec -- the one spec validator -- resolves every default the
+// way it does for a spec file.
+std::string spec_json_from_flags(const CliOptions& opt)
 {
-    std::ifstream in{opt.job_spec};
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", opt.job_spec.c_str());
-        return 2;
+    std::string json = "{\"engine\":\"";
+    json += opt.pareto_metric.empty() ? "ga" : "nsga2";
+    json += "\"";
+    const auto text = [&](const char* key, const std::string& value) {
+        if (!value.empty())
+            json += std::string{",\""} + key + "\":\"" + serve::json_escape(value) + "\"";
+    };
+    const auto number = [&](const char* key, std::uint64_t value) {
+        json += std::string{",\""} + key + "\":" + std::to_string(value);
+    };
+    text("ip", opt.ip);
+    text("metric", opt.metric);
+    text("metric2", opt.pareto_metric);
+    text("direction", opt.direction);
+    text("guidance", opt.guidance);
+    number("generations", opt.generations);
+    if (opt.population) number("population", *opt.population);
+    number("seed", opt.seed);
+    number("workers", opt.workers);
+    return json + "}";
+}
+
+void print_outcome(const serve::JobSpec& spec, const serve::JobRunInputs& inputs,
+                   const serve::JobOutcome& r)
+{
+    if (r.start_generation != 0)
+        std::printf("resumed from %s at generation %zu\n", inputs.checkpoint_path.c_str(),
+                    r.start_generation);
+    if (r.halted)
+        std::printf("halted at a checkpoint boundary (%s; rerun to resume)\n",
+                    inputs.checkpoint_path.c_str());
+    if (!r.feasible) std::printf("no feasible design found\n");
+    else if (spec.engine == "nsga2") {
+        std::printf("front: %zu points\n", r.front.size());
+        for (const serve::FrontEntry& p : r.front) {
+            std::printf("  [");
+            for (std::size_t k = 0; k < p.values.size(); ++k)
+                std::printf("%s%.17g", k == 0 ? "" : ", ", p.values[k]);
+            std::printf("]  %s\n", p.genome.c_str());
+        }
     }
-    const std::string json{std::istreambuf_iterator<char>{in},
-                           std::istreambuf_iterator<char>{}};
+    else {
+        std::printf("best: %.17g\n", r.best);
+        if (!r.best_genome.empty()) std::printf("genome: %s\n", r.best_genome.c_str());
+    }
+    std::printf("evals: %zu distinct, %zu calls; attempts %llu (retries %llu, failures %llu, "
+                "timeouts %llu, quarantined %llu)\n",
+                r.distinct_evals, r.total_eval_calls,
+                static_cast<unsigned long long>(r.fault.attempts),
+                static_cast<unsigned long long>(r.fault.retries),
+                static_cast<unsigned long long>(r.fault.failures),
+                static_cast<unsigned long long>(r.fault.timeouts),
+                static_cast<unsigned long long>(r.fault.quarantined));
+    if (inputs.chaos)
+        std::printf("chaos injected: %llu failures, %llu hangs, %llu flaky\n",
+                    static_cast<unsigned long long>(r.injected_failures),
+                    static_cast<unsigned long long>(r.injected_hangs),
+                    static_cast<unsigned long long>(r.injected_flaky));
+}
+
+// One search as a job: `--job SPEC.json`, or the spec the flags build.
+// Both run through serve::run_job, the entry point the scheduler uses, so a
+// flag run, a spec file and a server job of the same search build the same
+// engine.  `inputs` arrives carrying the live plane and the store.
+int run_job_mode(const CliOptions& opt, serve::JobRunInputs inputs)
+{
+    std::string json;
+    if (!opt.job_spec.empty()) {
+        std::ifstream in{opt.job_spec};
+        if (!in) {
+            std::fprintf(stderr, "cannot read %s\n", opt.job_spec.c_str());
+            return 2;
+        }
+        json.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+    }
+    else {
+        json = spec_json_from_flags(opt);
+    }
     serve::JobSpec spec;
     try {
         spec = serve::parse_job_spec(json);
@@ -371,36 +416,44 @@ int run_job_mode(const CliOptions& opt)
         std::fprintf(stderr, "invalid job spec: %s\n", e.what());
         return 2;
     }
+    if (opt.scalar_breed || !opt.dataset.empty()) {
+        std::fprintf(stderr, "--scalar-breed and --dataset apply to the multi-run "
+                             "experiment, not to a job\n");
+        return 2;
+    }
+    if (!opt.checkpoint.empty() && !opt.resume.empty() && opt.checkpoint != opt.resume) {
+        std::fprintf(stderr, "--checkpoint and --resume name different files\n");
+        return 2;
+    }
+    if (!opt.resume.empty() && !std::ifstream{opt.resume}) {
+        std::fprintf(stderr, "cannot resume: no checkpoint at %s\n", opt.resume.c_str());
+        return 1;
+    }
 
-    serve::JobRunInputs inputs;
     inputs.trace_path = opt.trace_path;
-    inputs.checkpoint_path = opt.checkpoint;
+    inputs.checkpoint_path = opt.checkpoint.empty() ? opt.resume : opt.checkpoint;
     inputs.halt_at_generation = opt.die_at_gen;
-    std::shared_ptr<EvalStore> store;
+    inputs.fault.retry.max_attempts = std::max<std::size_t>(opt.retries, 1);
+    inputs.fault.retry.backoff_ms = opt.retry_backoff_ms;
+    inputs.fault.retry.timeout_seconds = opt.eval_timeout;
+    inputs.fault.tolerate_failures = opt.chaotic() || opt.retries > 1;
+    if (opt.chaotic()) {
+        FaultInjectionConfig fic;
+        fic.fail_rate = opt.chaos_fail;
+        fic.hang_rate = opt.chaos_hang;
+        fic.flaky_value_rate = opt.chaos_flaky;
+        fic.seed = opt.chaos_seed;
+        inputs.chaos = fic;
+    }
+
+    std::printf("job: %s\n", serve::canonical_spec_json(spec).c_str());
+    if (!opt.trace_path.empty()) std::printf("tracing to %s\n", opt.trace_path.c_str());
     try {
-        store = open_store(opt);
-        inputs.store = store;
-        std::printf("job: %s\n", serve::canonical_spec_json(spec).c_str());
-        const serve::JobOutcome r = serve::run_job(spec, inputs);
-        if (r.halted)
-            std::printf("halted at a checkpoint boundary (rerun to resume)\n");
-        if (!r.feasible) std::printf("no feasible design found\n");
-        else if (spec.engine == "nsga2") {
-            std::printf("front: %zu points\n", r.front.size());
-            for (const serve::FrontEntry& p : r.front) {
-                std::printf("  [");
-                for (std::size_t k = 0; k < p.values.size(); ++k)
-                    std::printf("%s%.17g", k == 0 ? "" : ", ", p.values[k]);
-                std::printf("]  %s\n", p.genome.c_str());
-            }
-        }
-        else {
-            std::printf("best: %.17g\n", r.best);
-            if (!r.best_genome.empty()) std::printf("genome: %s\n", r.best_genome.c_str());
-        }
-        std::printf("evals: %zu distinct, %zu calls\n", r.distinct_evals,
-                    r.total_eval_calls);
-        if (store) store->flush();
+        print_outcome(spec, inputs, serve::run_job(spec, inputs));
+    }
+    catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
     catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
@@ -439,16 +492,11 @@ int serve_jobs_mode(const CliOptions& opt)
 
     std::shared_ptr<EvalStore> store;
     try {
-        store = open_store(opt);
+        store = open_store(opt, metrics);
     }
     catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
-    }
-    if (store) {
-        store->attach_metrics(metrics);
-        std::printf("evaluation store: %s (%zu records)\n", opt.store.c_str(),
-                    store->records());
     }
 
     serve::SchedulerConfig sc;
@@ -498,110 +546,64 @@ int main(int argc, char** argv)
 {
     const CliOptions opt = parse(argc, argv);
 
-    // Job-plane modes are self-contained (specs name their own IP and the
-    // server multiplexes many searches); handle them before the single-query
-    // setup below so e.g. --trace is not opened twice.
-    if (!opt.job_spec.empty()) return run_job_mode(opt);
-    if (opt.serve_jobs_port >= 0) return serve_jobs_mode(opt);
+    // --job wins over everything; the job server over the rest.  Dataset
+    // characterization keeps precedence over the flags that build a job.
+    if (opt.job_spec.empty() && opt.serve_jobs_port >= 0) return serve_jobs_mode(opt);
+    const bool characterize = !opt.save_dataset.empty() || opt.sensitivity;
+    const bool one_job = !opt.job_spec.empty() ||
+                         (!characterize && (!opt.pareto_metric.empty() || opt.single_run));
 
-    const auto generator = make_generator(opt.ip);
-
-    Metric metric = default_metric(opt.ip);
-    if (!opt.metric.empty()) {
-        const auto parsed = ip::metric_from_name(opt.metric);
-        if (!parsed) {
-            std::fprintf(stderr, "unknown metric '%s'\n", opt.metric.c_str());
+    // The multi-run modes resolve the query here; a job resolves its own
+    // through parse_job_spec and run_job, which apply the same checks.
+    std::unique_ptr<ip::IpGenerator> generator;
+    Metric metric{};
+    Direction direction{};
+    if (!one_job) {
+        try {
+            generator = serve::make_generator(opt.ip);
+            metric = serve::metric_or_throw(
+                *generator,
+                opt.metric.empty() ? serve::default_metric_name(opt.ip) : opt.metric);
+        }
+        catch (const std::invalid_argument& e) {
+            std::fprintf(stderr, "%s\n", e.what());
             return 2;
         }
-        metric = *parsed;
+        direction = ip::metric_default_direction(metric);
+        if (opt.direction == "min") direction = Direction::minimize;
+        else if (opt.direction == "max") direction = Direction::maximize;
+        else if (!opt.direction.empty()) usage(argv[0]);
+        std::printf("IP: %s (%zu parameters, %.0f configurations)\n",
+                    generator->name().c_str(), generator->space().size(),
+                    generator->space().cardinality());
     }
-    Direction direction = ip::metric_default_direction(metric);
-    if (opt.direction == "min") direction = Direction::minimize;
-    else if (opt.direction == "max") direction = Direction::maximize;
-    else if (!opt.direction.empty()) usage(argv[0]);
 
-    std::printf("IP: %s (%zu parameters, %.0f configurations)\n",
-                generator->name().c_str(), generator->space().size(),
-                generator->space().cardinality());
-
-    // Observability: tracing to a JSONL file and/or an end-of-run metrics
-    // dump.  Both default off; a default-constructed Instrumentation costs a
-    // predicted branch per site.
-    obs::Instrumentation inst;
-    if (!opt.trace_path.empty()) {
-        try {
-            inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(opt.trace_path)};
-        }
-        catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-        std::printf("tracing to %s\n", opt.trace_path.c_str());
-    }
-    if (opt.lineage) inst.lineage = std::make_shared<obs::LineageTracker>();
-    if (opt.metrics) inst.metrics = std::make_shared<obs::MetricsRegistry>();
-    const auto dump_metrics = [&] {
-        if (!opt.metrics || !inst.metrics) return;
-        std::cout << "-- metrics --\n";
-        inst.metrics->write_text(std::cout);
-    };
-    // End-of-run lineage efficacy line: the last finished run's per-hint-class
-    // offspring -> survived -> improved funnel plus winner attribution.
-    const auto dump_lineage = [&] {
-        if (!inst.lineage) return;
-        const obs::LineageCounters c = inst.lineage->counters();
-        if (!c.have_last) return;
-        const obs::LineageSummary& s = c.last;
-        std::printf("lineage (%s, last of %llu runs): %llu births "
-                    "(%llu roots, %llu elites, %llu mutation, %llu crossover), "
-                    "%llu survived, %llu improved\n",
-                    c.engine.c_str(), static_cast<unsigned long long>(c.runs),
-                    static_cast<unsigned long long>(s.births),
-                    static_cast<unsigned long long>(s.roots),
-                    static_cast<unsigned long long>(s.elites),
-                    static_cast<unsigned long long>(s.mutation_births),
-                    static_cast<unsigned long long>(s.crossover_births),
-                    static_cast<unsigned long long>(s.survived),
-                    static_cast<unsigned long long>(s.improved));
-        std::printf("  hint efficacy (offspring/survived/improved): "
-                    "bias %llu/%llu/%llu, target %llu/%llu/%llu, "
-                    "uniform %llu/%llu/%llu\n",
-                    static_cast<unsigned long long>(s.offspring_bias),
-                    static_cast<unsigned long long>(s.survived_bias),
-                    static_cast<unsigned long long>(s.improved_bias),
-                    static_cast<unsigned long long>(s.offspring_target),
-                    static_cast<unsigned long long>(s.survived_target),
-                    static_cast<unsigned long long>(s.improved_target),
-                    static_cast<unsigned long long>(s.offspring_uniform),
-                    static_cast<unsigned long long>(s.survived_uniform),
-                    static_cast<unsigned long long>(s.improved_uniform));
-        if (s.have_winner)
-            std::printf("  winner genes: %llu bias, %llu target, %llu uniform, "
-                        "%llu fresh, %llu repair (ancestry depth %llu)\n",
-                        static_cast<unsigned long long>(s.winner_bias),
-                        static_cast<unsigned long long>(s.winner_target),
-                        static_cast<unsigned long long>(s.winner_uniform),
-                        static_cast<unsigned long long>(s.winner_fresh),
-                        static_cast<unsigned long long>(s.winner_repair),
-                        static_cast<unsigned long long>(s.winner_depth));
-    };
-
-    // Live observability: the progress tracker feeds both the HTTP /status
-    // endpoint and the stderr heartbeat; --serve additionally exposes the
-    // metrics registry (created on demand so /metrics is never empty-handed).
+    // Observability shared by every mode: live lineage, the metrics
+    // registry, and the progress tracker behind /status and the stderr
+    // heartbeat.  --serve creates the registry on demand so /metrics is
+    // never empty-handed.  All default off.
+    std::shared_ptr<obs::LineageTracker> lineage;
+    std::shared_ptr<obs::MetricsRegistry> metrics;
     std::shared_ptr<obs::ProgressTracker> progress;
+    if (opt.lineage) lineage = std::make_shared<obs::LineageTracker>();
+    if (opt.metrics || opt.serve_port >= 0) metrics = std::make_shared<obs::MetricsRegistry>();
+    if (opt.serve_port >= 0 || opt.progress_interval > 0.0)
+        progress = std::make_shared<obs::ProgressTracker>();
+    const auto dump_metrics = [&] {
+        if (!opt.metrics) return;
+        std::cout << "-- metrics --\n";
+        metrics->write_text(std::cout);
+    };
+    const auto dump_lineage = [&] {
+        if (lineage) std::fputs(obs::to_text(lineage->counters()).c_str(), stdout);
+    };
+
     std::unique_ptr<obs::ObsHttpServer> server;
     std::unique_ptr<obs::ProgressHeartbeat> heartbeat;
-    if (opt.serve_port >= 0 || opt.progress_interval > 0.0) {
-        progress = std::make_shared<obs::ProgressTracker>();
-        inst.progress = progress;
-    }
     if (opt.serve_port >= 0) {
-        if (!inst.metrics) inst.metrics = std::make_shared<obs::MetricsRegistry>();
         obs::HttpServerConfig http;
         http.port = static_cast<std::uint16_t>(opt.serve_port);
-        server = std::make_unique<obs::ObsHttpServer>(http, inst.metrics, progress,
-                                                      inst.lineage);
+        server = std::make_unique<obs::ObsHttpServer>(http, metrics, progress, lineage);
         try {
             server->start();
         }
@@ -617,23 +619,15 @@ int main(int argc, char** argv)
         heartbeat = std::make_unique<obs::ProgressHeartbeat>(progress, opt.progress_interval);
 
     // Cross-run persistent evaluation store: repeat evaluations are served
-    // from disk, fresh ones recorded for the next invocation.  Namespaced by
-    // IP + metric so different queries never collide in one store directory.
+    // from disk, fresh ones recorded for the next invocation.  Every engine
+    // namespaces it by IP + metric(s), so queries never collide.
     std::shared_ptr<EvalStore> store;
-    if (!opt.store.empty()) {
-        EvalStoreConfig sc;
-        sc.path = opt.store;
-        sc.max_bytes = opt.store_max_bytes;
-        try {
-            store = std::make_shared<EvalStore>(sc);
-        }
-        catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-        if (inst.metrics) store->attach_metrics(inst.metrics);
-        std::printf("evaluation store: %s (%zu records)\n", opt.store.c_str(),
-                    store->records());
+    try {
+        store = open_store(opt, metrics);
+    }
+    catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     }
     const auto dump_store = [&] {
         if (!store) return;
@@ -667,7 +661,22 @@ int main(int argc, char** argv)
         return code;
     };
 
-    if (!opt.save_dataset.empty() || opt.sensitivity) {
+    if (one_job) {
+        serve::JobRunInputs inputs;
+        inputs.store = store;
+        inputs.progress = progress;
+        inputs.lineage = lineage;
+        inputs.metrics = metrics;
+        const int code = run_job_mode(opt, std::move(inputs));
+        if (code == 0) {
+            dump_lineage();
+            dump_store();
+            dump_metrics();
+        }
+        return finish(code);
+    }
+
+    if (characterize) {
         std::printf("characterizing the full design space...\n");
         const ip::Dataset ds = ip::Dataset::enumerate(*generator);
         std::printf("%zu points, %zu feasible\n", ds.size(), ds.feasible_count());
@@ -687,146 +696,27 @@ int main(int argc, char** argv)
         return finish(0);
     }
 
-    // Pareto mode: map a two-metric front with NSGA-II.
-    if (!opt.pareto_metric.empty()) {
-        const auto second = ip::metric_from_name(opt.pareto_metric);
-        if (!second) {
-            std::fprintf(stderr, "unknown metric '%s'\n", opt.pareto_metric.c_str());
-            return finish(2);
-        }
-        const std::vector<Direction> dirs{direction,
-                                          ip::metric_default_direction(*second)};
-        const MultiEvalFn eval =
-            [&](const Genome& g) -> std::optional<std::vector<double>> {
-            const auto mv = generator->evaluate(g);
-            if (!mv.feasible) return std::nullopt;
-            const auto a = mv.try_get(metric);
-            const auto b = mv.try_get(*second);
-            if (!a || !b) return std::nullopt;
-            return std::vector<double>{*a, *b};
-        };
-        MultiObjectiveConfig mo;
-        mo.generations = opt.generations;
-        mo.seed = opt.seed;
-        mo.eval_workers = opt.workers;
-        mo.obs = inst;
-        if (store) {
-            mo.store = store;
-            mo.store_namespace = EvalStore::namespace_key(
-                opt.ip + "/" + ip::metric_name(metric) + "+" + ip::metric_name(*second));
-        }
-        const Nsga2Engine engine{generator->space(), mo, dirs, eval,
-                                 HintSet::none(generator->space())};
-        const auto result = engine.run();
-        std::printf("Pareto front of %s vs %s: %zu points (%zu evaluations)\n",
-                    ip::metric_name(metric), ip::metric_name(*second),
-                    result.front.size(), result.distinct_evals);
-        for (const auto& p : result.front)
-            std::printf("  %12.2f  %12.2f   %s\n", p.values[0], p.values[1],
-                        p.genome.to_string(generator->space()).c_str());
-        std::printf("evaluation pipeline: %.3f s @ %zu workers, %zu distinct / %zu calls\n",
-                    result.eval_seconds, result.eval_workers, result.distinct_evals,
-                    result.total_eval_calls);
-        dump_lineage();
-        dump_store();
-        dump_metrics();
-        return finish(0);
-    }
-
-    // Single-run GA mode: fault tolerance, chaos injection, checkpoints.
-    // The experiment harness averages many runs; checkpoint/resume and chaos
-    // accounting are about *one* long-lived run, so these flags bypass it.
-    if (opt.single_run()) {
-        EvalFn eval = generator->metric_eval(metric);
-        std::unique_ptr<FaultInjectingEvaluator> chaos;
-        const bool chaotic =
-            opt.chaos_fail > 0.0 || opt.chaos_hang > 0.0 || opt.chaos_flaky > 0.0;
-        if (chaotic) {
-            FaultInjectionConfig fic;
-            fic.fail_rate = opt.chaos_fail;
-            fic.hang_rate = opt.chaos_hang;
-            fic.flaky_value_rate = opt.chaos_flaky;
-            fic.seed = opt.chaos_seed;
-            chaos = std::make_unique<FaultInjectingEvaluator>(std::move(eval), fic);
-            eval = chaos->as_eval_fn();
-            std::printf("chaos mode: fail %.3f, hang %.3f, flaky %.3f (seed %llu)\n",
-                        opt.chaos_fail, opt.chaos_hang, opt.chaos_flaky,
-                        static_cast<unsigned long long>(opt.chaos_seed));
-        }
-
-        GaConfig ga;
-        ga.generations = opt.generations;
-        ga.population_size = opt.population;
-        ga.seed = opt.seed;
-        ga.eval_workers = opt.workers;
-        ga.obs = inst;
-        ga.fault.retry.max_attempts = std::max<std::size_t>(opt.retries, 1);
-        ga.fault.retry.backoff_ms = opt.retry_backoff_ms;
-        ga.fault.retry.timeout_seconds = opt.eval_timeout;
-        ga.fault.tolerate_failures = chaotic || opt.retries > 1;
-        ga.checkpoint_path = !opt.checkpoint.empty() ? opt.checkpoint : opt.resume;
-        ga.checkpoint_every = opt.checkpoint_every;
-        ga.halt_at_generation = opt.die_at_gen;
-        ga.scalar_breed = opt.scalar_breed;
-        if (store) {
-            ga.store = store;
-            ga.store_namespace =
-                EvalStore::namespace_key(opt.ip + "/" + ip::metric_name(metric));
-        }
-
-        HintSet hints = HintSet::none(generator->space());
-        if (opt.guidance == "weak" || opt.guidance == "strong") {
-            const GuidanceLevel level =
-                opt.guidance == "weak" ? GuidanceLevel::weak : GuidanceLevel::strong;
-            hints = apply_guidance(generator->author_hints(metric), direction, level);
-        }
-
+    // Tracing to a JSONL file.  A default-constructed Instrumentation
+    // costs a predicted branch per site.
+    obs::Instrumentation inst;
+    inst.lineage = lineage;
+    inst.metrics = metrics;
+    inst.progress = progress;
+    if (!opt.trace_path.empty()) {
         try {
-            const GaEngine engine{generator->space(), ga, direction, eval, hints};
-            const RunResult r =
-                opt.resume.empty() ? engine.run() : engine.resume(opt.resume);
-            if (r.halted)
-                std::printf("halted at generation %zu (checkpoint written to %s)\n",
-                            ga.halt_at_generation, ga.checkpoint_path.c_str());
-            else if (r.best_eval.feasible)
-                std::printf("best %s = %.4f after %zu generations: %s\n",
-                            ip::metric_name(metric), r.best_eval.value,
-                            r.history.size(),  // includes pre-checkpoint gens
-                            r.best_genome.to_string(generator->space()).c_str());
-            else
-                std::printf("no feasible design found\n");
-            std::printf(
-                "evaluations: %zu distinct / %zu calls; attempts %llu (retries %llu, "
-                "failures %llu, timeouts %llu, quarantined %llu)\n",
-                r.distinct_evals, r.total_eval_calls,
-                static_cast<unsigned long long>(r.fault.attempts),
-                static_cast<unsigned long long>(r.fault.retries),
-                static_cast<unsigned long long>(r.fault.failures),
-                static_cast<unsigned long long>(r.fault.timeouts),
-                static_cast<unsigned long long>(r.fault.quarantined));
-            if (store)
-                std::printf("store served %zu of %zu distinct evaluations\n",
-                            r.store_hits, r.distinct_evals);
-            if (chaos)
-                std::printf("chaos injected: %llu failures, %llu hangs, %llu flaky\n",
-                            static_cast<unsigned long long>(chaos->injected_failures()),
-                            static_cast<unsigned long long>(chaos->injected_hangs()),
-                            static_cast<unsigned long long>(chaos->injected_flaky()));
+            inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(opt.trace_path)};
         }
         catch (const std::exception& e) {
             std::fprintf(stderr, "%s\n", e.what());
             return finish(1);
         }
-        dump_lineage();
-        dump_store();
-        dump_metrics();
-        return finish(0);
+        std::printf("tracing to %s\n", opt.trace_path.c_str());
     }
 
     exp::ExperimentConfig cfg;
     cfg.runs = opt.runs;
     cfg.ga.generations = opt.generations;
-    cfg.ga.population_size = opt.population;
+    cfg.ga.population_size = opt.population.value_or(cfg.ga.population_size);
     cfg.ga.seed = opt.seed;
     cfg.ga.eval_workers = opt.workers;
     cfg.ga.obs = inst;
