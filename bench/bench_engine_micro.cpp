@@ -53,13 +53,10 @@ void bm_mutation_baseline(benchmark::State& state)
 {
     const auto space = bench_space();
     const HintSet hints = HintSet::none(space);
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = 0.1;
+    BreedContext ctx{space, hints, 0.1};
     Rng rng{2};
     Genome g = Genome::random(space, rng);
-    for (auto _ : state) benchmark::DoNotOptimize(mutate(g, ctx, rng));
+    for (auto _ : state) benchmark::DoNotOptimize(ctx.mutate(g, rng));
 }
 BENCHMARK(bm_mutation_baseline);
 
@@ -72,13 +69,10 @@ void bm_mutation_guided(benchmark::State& state)
         hints.param(i).bias = 0.5;
     }
     hints.set_confidence(0.8);
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = 0.1;
+    BreedContext ctx{space, hints, 0.1};
     Rng rng{3};
     Genome g = Genome::random(space, rng);
-    for (auto _ : state) benchmark::DoNotOptimize(mutate(g, ctx, rng));
+    for (auto _ : state) benchmark::DoNotOptimize(ctx.mutate(g, rng));
 }
 BENCHMARK(bm_mutation_guided);
 
@@ -88,14 +82,19 @@ void bm_crossover(benchmark::State& state)
     Rng rng{4};
     const Genome a = Genome::random(space, rng);
     const Genome b = Genome::random(space, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(crossover(a, b, CrossoverKind::single_point, rng));
+    std::vector<std::uint32_t> ca, cb;
+    for (auto _ : state) {
+        ca = a.genes();
+        cb = b.genes();
+        crossover_views(ca, cb, CrossoverKind::single_point, rng);
+        benchmark::DoNotOptimize(ca.data());
+        benchmark::DoNotOptimize(cb.data());
+    }
 }
 BENCHMARK(bm_crossover);
 
 // One breed phase (select + crossover + mutate, population 10) through the
-// preserved scalar reference path vs. the data-oriented BreedContext.  Same
-// seed, same hints: the work is identical, only the implementation differs.
+// data-oriented BreedContext.
 struct BreedBenchSetup {
     ParameterSpace space;
     HintSet hints;
@@ -121,19 +120,6 @@ struct BreedBenchSetup {
         }
     }
 };
-
-void bm_breed_scalar(benchmark::State& state)
-{
-    BreedBenchSetup setup;
-    Rng rng{8};
-    std::size_t gen = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(breed_population_scalar(
-            setup.population, setup.fitness, setup.config, setup.space, setup.hints,
-            0.1, gen++ % 80, rng, false));
-    }
-}
-BENCHMARK(bm_breed_scalar);
 
 void bm_breed_dataop(benchmark::State& state)
 {
@@ -188,21 +174,12 @@ void bm_fixed_fft_256(benchmark::State& state)
 }
 BENCHMARK(bm_fixed_fft_256);
 
-void bm_full_ga_run(benchmark::State& state)
+Evaluation sum_genes(const Genome& g)
 {
-    const auto space = bench_space();
-    const EvalFn eval = [](const Genome& g) {
-        double v = 0.0;
-        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-        return Evaluation{true, v};
-    };
-    GaConfig cfg;
-    cfg.generations = 80;
-    const GaEngine engine{space, cfg, Direction::maximize, eval, HintSet::none(space)};
-    std::uint64_t seed = 1;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.run(seed++));
+    double v = 0.0;
+    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
+    return Evaluation{true, v};
 }
-BENCHMARK(bm_full_ga_run);
 
 // Serializes events like a real sink but discards them, so the benchmark
 // measures event construction + serialization without filesystem noise.
@@ -219,78 +196,59 @@ private:
     std::atomic<std::uint64_t> count_{0};
 };
 
-// Same workload as bm_full_ga_run with tracing enabled.  The overhead budget
-// (DESIGN.md section 7) requires bm_full_ga_run itself to stay within 2% of
-// its pre-observability baseline; this variant documents the traced cost.
-void bm_full_ga_run_traced(benchmark::State& state)
+// The run-level workload: the unguided 80-generation GA over bench_space(),
+// one run per iteration, under the instrumentation and store of `cfg`.
+void bm_ga_runs(benchmark::State& state, GaConfig cfg)
 {
     const auto space = bench_space();
-    const EvalFn eval = [](const Genome& g) {
-        double v = 0.0;
-        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-        return Evaluation{true, v};
-    };
-    GaConfig cfg;
     cfg.generations = 80;
-    cfg.obs = obs::Instrumentation::with_sink(std::make_shared<CountingSink>());
-    cfg.obs.metrics = std::make_shared<obs::MetricsRegistry>();
-    const GaEngine engine{space, cfg, Direction::maximize, eval, HintSet::none(space)};
+    const GaEngine engine{space, cfg, Direction::maximize, sum_genes, HintSet::none(space)};
     std::uint64_t seed = 1;
     for (auto _ : state) benchmark::DoNotOptimize(engine.run(seed++));
+}
+
+void bm_full_ga_run(benchmark::State& state) { bm_ga_runs(state, {}); }
+BENCHMARK(bm_full_ga_run);
+
+// The same workload with tracing enabled.  The overhead budget (DESIGN.md
+// section 7) requires bm_full_ga_run itself to stay within 2% of its
+// pre-observability baseline; this variant documents the traced cost.
+void bm_full_ga_run_traced(benchmark::State& state)
+{
+    GaConfig cfg;
+    cfg.obs = obs::Instrumentation::with_sink(std::make_shared<CountingSink>());
+    cfg.obs.metrics = std::make_shared<obs::MetricsRegistry>();
+    bm_ga_runs(state, cfg);
 }
 BENCHMARK(bm_full_ga_run_traced);
 
-// Same workload again with only the progress tracker attached -- the cost a
-// `--serve`/`--progress` user pays even when tracing and metrics are off.
+// Only the progress tracker attached -- the cost a `--serve`/`--progress`
+// user pays even when tracing and metrics are off.
 void bm_full_ga_run_progress(benchmark::State& state)
 {
-    const auto space = bench_space();
-    const EvalFn eval = [](const Genome& g) {
-        double v = 0.0;
-        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-        return Evaluation{true, v};
-    };
     GaConfig cfg;
-    cfg.generations = 80;
     cfg.obs.progress = std::make_shared<obs::ProgressTracker>();
-    const GaEngine engine{space, cfg, Direction::maximize, eval, HintSet::none(space)};
-    std::uint64_t seed = 1;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.run(seed++));
+    bm_ga_runs(state, cfg);
 }
 BENCHMARK(bm_full_ga_run_progress);
 
-// Same workload with only a live lineage tracker attached (no tracer): the
-// cost of birth bookkeeping alone, which the acceptance budget caps at 5% of
-// the plain run.
+// Only a live lineage tracker attached (no tracer): the cost of birth
+// bookkeeping alone, which the acceptance budget caps at 5% of the plain run.
 void bm_full_ga_run_lineage(benchmark::State& state)
 {
-    const auto space = bench_space();
-    const EvalFn eval = [](const Genome& g) {
-        double v = 0.0;
-        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-        return Evaluation{true, v};
-    };
     GaConfig cfg;
-    cfg.generations = 80;
     cfg.obs.lineage = std::make_shared<obs::LineageTracker>();
-    const GaEngine engine{space, cfg, Direction::maximize, eval, HintSet::none(space)};
-    std::uint64_t seed = 1;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.run(seed++));
+    bm_ga_runs(state, cfg);
 }
 BENCHMARK(bm_full_ga_run_lineage);
 
-// Same workload served entirely from a pre-warmed persistent store: every
-// memo miss is a store hit, so the delta against bm_full_ga_run is the pure
-// lookup cost of the store tier (`sync` off — durability is not what this
-// measures).  Fixed seed: each iteration replays the identical warm run.
+// Served entirely from a pre-warmed persistent store: every memo miss is a
+// store hit, so the delta against bm_full_ga_run is the pure lookup cost of
+// the store tier (`sync` off — durability is not what this measures).
+// Fixed seed: each iteration replays the identical warm run.
 void bm_full_ga_run_store_warm(benchmark::State& state)
 {
     const auto space = bench_space();
-    const EvalFn eval = [](const Genome& g) {
-        double v = 0.0;
-        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-        return Evaluation{true, v};
-    };
     const std::string dir =
         (std::filesystem::temp_directory_path() / "nautilus_bench_store").string();
     std::filesystem::remove_all(dir);
@@ -301,7 +259,7 @@ void bm_full_ga_run_store_warm(benchmark::State& state)
     cfg.generations = 80;
     cfg.store = std::make_shared<EvalStore>(store_cfg);
     cfg.store_namespace = EvalStore::namespace_key("bench/sum");
-    const GaEngine engine{space, cfg, Direction::maximize, eval, HintSet::none(space)};
+    const GaEngine engine{space, cfg, Direction::maximize, sum_genes, HintSet::none(space)};
     benchmark::DoNotOptimize(engine.run(1));  // warm-up pass fills the store
     for (auto _ : state) benchmark::DoNotOptimize(engine.run(1));
     std::filesystem::remove_all(dir);
@@ -337,30 +295,34 @@ double seconds_since(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-// Median-of-3 wall time for `reps` GA runs under the given instrumentation.
-double time_ga_runs(const obs::Instrumentation& inst, int reps)
+// Median-of-3 wall time of `f()` run `reps` times.
+template <typename F>
+double median_seconds(F&& f, int reps)
 {
-    const auto space = bench_space();
-    const EvalFn eval = [](const Genome& g) {
-        double v = 0.0;
-        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-        return Evaluation{true, v};
-    };
-    GaConfig cfg;
-    cfg.generations = 80;
-    cfg.obs = inst;
-    const GaEngine engine{space, cfg, Direction::maximize, eval, HintSet::none(space)};
     double samples[3];
     for (double& sample : samples) {
         const auto t0 = std::chrono::steady_clock::now();
-        std::uint64_t seed = 1;
-        for (int r = 0; r < reps; ++r) benchmark::DoNotOptimize(engine.run(seed++));
+        for (int r = 0; r < reps; ++r) f();
         sample = seconds_since(t0);
     }
     if (samples[0] > samples[1]) std::swap(samples[0], samples[1]);
     if (samples[1] > samples[2]) std::swap(samples[1], samples[2]);
     if (samples[0] > samples[1]) std::swap(samples[0], samples[1]);
     return samples[1];
+}
+
+// Median-of-3 wall time for `reps` GA runs under the given instrumentation.
+double time_ga_runs(const obs::Instrumentation& inst, int reps)
+{
+    const auto space = bench_space();
+    GaConfig cfg;
+    cfg.generations = 80;
+    cfg.obs = inst;
+    const GaEngine engine{space, cfg, Direction::maximize, sum_genes, HintSet::none(space)};
+    int run = 0;  // every sample replays seeds 1..reps
+    return median_seconds(
+        [&] { benchmark::DoNotOptimize(engine.run(1 + static_cast<std::uint64_t>(run++ % reps))); },
+        reps);
 }
 
 int write_obs_bench(const std::string& path)
@@ -478,25 +440,12 @@ int write_obs_bench(const std::string& path)
 // `--engine-json PATH` measures the breeding hot path on the paper-scale NoC
 // GA configuration (router space, population 10, strong guidance, roulette
 // selection -- the GaConfig defaults) and writes the flat artifact documented
-// in EXPERIMENTS.md (`nautilus-bench-engine/1`).  `--engine-baseline FILE`
-// compares against a committed artifact; `--max-breed-drop PCT` turns that
-// comparison into a gate on data-oriented breed throughput.
-
-// Median-of-3 wall time of `f()` run `reps` times.
-template <typename F>
-double median_seconds(F&& f, int reps)
-{
-    double samples[3];
-    for (double& sample : samples) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < reps; ++r) f();
-        sample = seconds_since(t0);
-    }
-    if (samples[0] > samples[1]) std::swap(samples[0], samples[1]);
-    if (samples[1] > samples[2]) std::swap(samples[1], samples[2]);
-    if (samples[0] > samples[1]) std::swap(samples[0], samples[1]);
-    return samples[1];
-}
+// in EXPERIMENTS.md (`nautilus-bench-engine/2`).  Its same-host gate is
+// breed_share_of_run: the isolated time of the 79 breed phases an
+// 80-generation run performs, divided by the wall time of one such run, both
+// measured in this process.  `--engine-baseline FILE` compares breed
+// throughput against a committed artifact; `--max-breed-drop PCT` turns that
+// comparison into a gate.
 
 // Naive numeric field lookup, good enough for the flat one-level artifacts
 // this tool itself writes.
@@ -527,6 +476,7 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     breed_cfg.selection = SelectionConfig{SelectionKind::roulette, 1.8, 2};
     constexpr double kMutationRate = 0.1;
     constexpr std::size_t kGenerations = 80;
+    constexpr std::size_t kBreedPhases = kGenerations - 1;  // the last generation breeds none
 
     Rng setup{42};
     std::vector<Genome> population;
@@ -540,32 +490,21 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     const std::size_t children_per_gen =
         breed_cfg.population_size - breed_cfg.elitism;
 
-    // 1) Breed-phase throughput, scalar reference vs. data-oriented.
-    constexpr int kBreedReps = 400;  // x kGenerations breed phases each
-    auto scalar_pop = population;
-    Rng scalar_rng{9};
-    const double scalar_seconds = median_seconds(
-        [&] {
-            for (std::size_t g = 0; g < kGenerations; ++g)
-                breed_population_scalar(scalar_pop, fitness, breed_cfg, space, hints,
-                                        kMutationRate, g, scalar_rng, false);
-        },
-        kBreedReps);
-    auto dataop_pop = population;
-    Rng dataop_rng{9};
+    // 1) Breed-phase throughput: the breed phases of one run, in isolation.
+    constexpr int kBreedReps = 400;
+    auto bred = population;
+    Rng breed_rng{9};
     BreedContext breed_ctx{space, hints, kMutationRate};
-    const double dataop_seconds = median_seconds(
+    const double breed_seconds = median_seconds(
         [&] {
-            for (std::size_t g = 0; g < kGenerations; ++g) {
+            for (std::size_t g = 0; g < kBreedPhases; ++g) {
                 breed_ctx.begin_generation(g);
-                breed_ctx.breed(dataop_pop, fitness, breed_cfg, dataop_rng, false);
+                breed_ctx.breed(bred, fitness, breed_cfg, breed_rng, false);
             }
         },
         kBreedReps);
-    const double total_children =
-        static_cast<double>(kBreedReps) * kGenerations * children_per_gen;
-    const double scalar_children_per_s = total_children / scalar_seconds;
-    const double dataop_children_per_s = total_children / dataop_seconds;
+    const double children_per_s =
+        static_cast<double>(kBreedReps) * kBreedPhases * children_per_gen / breed_seconds;
     const double memo_probes = static_cast<double>(breed_ctx.dist_memo_hits() +
                                                    breed_ctx.dist_memo_misses());
     const double memo_hit_rate =
@@ -597,8 +536,8 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     const double incremental_seconds = median_seconds(
         [&] { benchmark::DoNotOptimize(counter.measure(population)); }, kDiversityReps);
 
-    // 3) End-to-end guided GA wall time under both breed implementations
-    //    (cheap analytic evaluator, so the breed phase is visible).
+    // 3) End-to-end guided GA wall time (cheap analytic evaluator, so the
+    //    breed phase is visible) and the breed phases' share of it.
     const EvalFn eval = [&gen](const Genome& g) {
         const auto metrics = gen.evaluate(g);
         return Evaluation{metrics.feasible,
@@ -607,48 +546,35 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     constexpr int kGaReps = 10;
     GaConfig ga_cfg;
     ga_cfg.generations = kGenerations;
-    GaConfig ga_scalar_cfg = ga_cfg;
-    ga_scalar_cfg.scalar_breed = true;
-    const GaEngine ga_dataop{space, ga_cfg, Direction::maximize, eval, hints};
-    const GaEngine ga_scalar{space, ga_scalar_cfg, Direction::maximize, eval, hints};
+    const GaEngine ga{space, ga_cfg, Direction::maximize, eval, hints};
     std::uint64_t seed = 1;
-    const double ga_scalar_seconds = median_seconds(
-        [&] { benchmark::DoNotOptimize(ga_scalar.run(seed++)); }, kGaReps);
-    seed = 1;
-    const double ga_dataop_seconds = median_seconds(
-        [&] { benchmark::DoNotOptimize(ga_dataop.run(seed++)); }, kGaReps);
+    const double ga_seconds =
+        median_seconds([&] { benchmark::DoNotOptimize(ga.run(seed++)); }, kGaReps) /
+        kGaReps;
+    const double breed_share = breed_seconds / kBreedReps / ga_seconds;
 
     std::ofstream out{path};
     if (!out) {
         std::fprintf(stderr, "bench_engine_micro: cannot write %s\n", path.c_str());
         return 1;
     }
-    char buf[1536];
+    char buf[1024];
     std::snprintf(buf, sizeof buf,
                   "{\n"
-                  "  \"schema\": \"nautilus-bench-engine/1\",\n"
+                  "  \"schema\": \"nautilus-bench-engine/2\",\n"
                   "  \"population\": %zu,\n"
                   "  \"genes\": %zu,\n"
-                  "  \"generations_per_rep\": %zu,\n"
-                  "  \"breed_scalar_children_per_second\": %.0f,\n"
-                  "  \"breed_dataop_children_per_second\": %.0f,\n"
-                  "  \"breed_speedup\": %.2f,\n"
+                  "  \"generations_per_run\": %zu,\n"
+                  "  \"breed_children_per_second\": %.0f,\n"
                   "  \"dist_memo_hit_rate\": %.4f,\n"
                   "  \"diversity_pairwise_us\": %.3f,\n"
                   "  \"diversity_incremental_us\": %.3f,\n"
-                  "  \"ga_run_scalar_seconds\": %.6f,\n"
-                  "  \"ga_run_dataop_seconds\": %.6f,\n"
-                  "  \"ga_run_speedup\": %.3f\n"
+                  "  \"ga_run_seconds\": %.6f,\n"
+                  "  \"breed_share_of_run\": %.3f\n"
                   "}\n",
-                  breed_cfg.population_size, space.size(), kGenerations,
-                  scalar_children_per_s, dataop_children_per_s,
-                  scalar_children_per_s > 0.0
-                      ? dataop_children_per_s / scalar_children_per_s
-                      : 0.0,
+                  breed_cfg.population_size, space.size(), kGenerations, children_per_s,
                   memo_hit_rate, pairwise_seconds / kDiversityReps * 1e6,
-                  incremental_seconds / kDiversityReps * 1e6, ga_scalar_seconds,
-                  ga_dataop_seconds,
-                  ga_dataop_seconds > 0.0 ? ga_scalar_seconds / ga_dataop_seconds : 0.0);
+                  incremental_seconds / kDiversityReps * 1e6, ga_seconds, breed_share);
     out << buf;
     std::printf("%s", buf);
     std::printf("bench_engine_micro: wrote %s\n", path.c_str());
@@ -663,20 +589,19 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
         std::ostringstream text;
         text << in.rdbuf();
         double baseline_children_per_s = 0.0;
-        if (!json_number_field(text.str(), "breed_dataop_children_per_second",
+        if (!json_number_field(text.str(), "breed_children_per_second",
                                &baseline_children_per_s) ||
             baseline_children_per_s <= 0.0) {
             std::fprintf(stderr,
                          "bench_engine_micro: baseline %s lacks "
-                         "breed_dataop_children_per_second\n",
+                         "breed_children_per_second\n",
                          baseline_path.c_str());
             return 1;
         }
-        const double drop_pct =
-            (1.0 - dataop_children_per_s / baseline_children_per_s) * 100.0;
-        std::printf("bench_engine_micro: dataop breed throughput vs baseline: "
+        const double drop_pct = (1.0 - children_per_s / baseline_children_per_s) * 100.0;
+        std::printf("bench_engine_micro: breed throughput vs baseline: "
                     "%+.1f%% (%.0f -> %.0f children/s)\n",
-                    -drop_pct, baseline_children_per_s, dataop_children_per_s);
+                    -drop_pct, baseline_children_per_s, children_per_s);
         if (max_breed_drop_pct >= 0.0 && drop_pct > max_breed_drop_pct) {
             std::fprintf(stderr,
                          "bench_engine_micro: FAIL breed throughput dropped %.1f%% "

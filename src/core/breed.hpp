@@ -1,19 +1,11 @@
 #pragma once
-// Data-oriented breeding core (DESIGN.md section 10).
+// Data-oriented breeding core (DESIGN.md section 10): the GA's one breed
+// loop and the one implementation of hint-guided mutation.
 //
-// The GA breed loop historically paid three per-child costs that are
-// invariant within a generation:
-//  * rank selection re-sorted the population and rebuilt its weight table on
-//    every parent pick (~2 sorts per child),
-//  * mutate() recomputed the per-gene mutation probabilities per child even
-//    though they only depend on the generation (importance decay),
-//  * value_distribution() heap-allocated three vectors per mutated gene.
-//
-// This header hoists all of that into per-generation state with reusable
-// scratch buffers:
-//  * SelectionTable  -- per-generation selection state (rank order + weights,
-//    roulette weights, tournament fitness copy); select() replicates
-//    select_parent() draw for draw.
+// Everything a breed phase needs that is invariant within a generation is
+// hoisted into per-generation state with reusable scratch buffers:
+//  * SelectionTable (core/selection.hpp) -- rank order and weights, roulette
+//    weights or the tournament fitness copy, rebuilt once per generation.
 //  * GeneMatrix      -- the population as one contiguous row-major gene
 //    matrix; each row is a genome view, so breeding touches one allocation
 //    instead of one heap vector per child.
@@ -22,14 +14,13 @@
 //    value_distribution() results keyed (parameter, current value), and the
 //    matrices/scratch the breed loop writes into.  Steady-state breeding
 //    performs no per-child allocation.
-//  * DiversityCounter -- incremental O(pop * genes) reformulation of the mean
-//    pairwise normalized Hamming distance (was O(pop^2 * genes)).
+//  * DiversityCounter -- incremental O(pop * genes) mean pairwise normalized
+//    Hamming distance.
 //
-// Determinism contract: breed() consumes the *identical* RNG draw sequence
-// as the scalar reference path (breed_population_scalar, the pre-refactor
-// loop preserved verbatim), so results are bit-for-bit identical.  What may
-// consume RNG and in which order is part of the public contract -- see
-// DESIGN.md section 10 before touching anything here.
+// Determinism contract: what may consume RNG, and in which order, is part of
+// the public contract (DESIGN.md section 10).  Committed golden digests
+// (tests/test_breed.cpp) and golden traces (tests/golden/) pin the output
+// bit for bit; read section 10 before touching anything here.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,30 +36,6 @@
 
 namespace nautilus {
 
-// Per-generation selection state.  rebuild() hoists everything a parent pick
-// needs that depends only on the population's fitness vector; select() then
-// replicates select_parent()'s RNG draw sequence exactly (including the
-// rank-selection n == 1 early return, which consumes no RNG).
-class SelectionTable {
-public:
-    // Validates like select_parent (empty population, rank_pressure range)
-    // and rebuilds the per-generation state.  Buffers are reused across
-    // calls.
-    void rebuild(std::span<const double> fitness, const SelectionConfig& config);
-
-    // One parent pick; draw-for-draw identical to
-    // select_parent(fitness, config, rng) on the rebuild() inputs.
-    std::size_t select(Rng& rng) const;
-
-private:
-    SelectionConfig config_{};
-    std::size_t n_ = 0;
-    std::vector<std::size_t> order_;   // rank: population sorted best-first
-    std::vector<double> weights_;      // rank / roulette pick weights
-    std::vector<double> fitness_;      // tournament comparisons
-    bool uniform_fallback_ = false;    // roulette: whole population infeasible
-};
-
 // The population as a contiguous row-major gene matrix.  Row r is the genome
 // view of member r; the breeding and diversity paths operate on these views
 // instead of per-member heap vectors.  (Row-major keeps one genome
@@ -79,7 +46,6 @@ public:
     void reset(std::size_t rows, std::size_t genes);
     void load(std::span<const Genome> population);
 
-    std::size_t rows() const { return genes_ == 0 ? 0 : data_.size() / genes_; }
     std::size_t genes() const { return genes_; }
 
     std::span<std::uint32_t> row(std::size_t r)
@@ -96,13 +62,6 @@ private:
     std::vector<std::uint32_t> data_;
 };
 
-// Crossover on genome views; identical RNG draws and gene movement as
-// crossover() on Genome copies of the same parents.  `swapped`, when
-// non-null, receives the shared exchanged-gene mask (see crossover()).
-void crossover_views(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
-                     CrossoverKind kind, Rng& rng,
-                     std::vector<std::uint8_t>* swapped = nullptr);
-
 // Per-child provenance captured during one breed pass, in next-generation
 // fill order.  Parents are *population indices* of the outgoing generation;
 // the engine owns the mapping from slots to lineage birth ids.
@@ -113,9 +72,8 @@ struct ChildProvenance {
     std::vector<obs::GeneOrigin> origins;  // one entry per gene
 };
 
-// Zero-RNG-impact birth log filled by breed()/breed_population_scalar() when
-// requested.  Both paths produce identical logs at the same seed (part of
-// the DESIGN.md section 10 bit-exactness contract, gated by tests).
+// Zero-RNG-impact birth log filled by breed() when requested; recording it
+// draws nothing from the RNG (DESIGN.md sections 10 and 11).
 struct BirthLog {
     std::vector<std::uint32_t> elites;      // population indices carried unchanged
     std::vector<ChildProvenance> children;  // elites.size() + children.size() == pop
@@ -157,20 +115,22 @@ public:
     std::size_t generation() const { return generation_; }
 
     // Hint-aware mutation with hoisted probabilities and memoized value
-    // distributions; RNG draws identical to mutate(genome, ctx, rng) with a
-    // MutationContext of the same space/hints/rate/generation.  `origins`
-    // (optional, one slot per gene) gets each mutated gene's draw class.
+    // distributions; returns the number of genes changed.  Per gene it draws
+    // one bernoulli(gene_probs()[i]) and, when that fires on a multi-value
+    // domain, one weighted_index over distribution(i, current).  `origins`
+    // (optional, one slot per gene) gets each mutated gene's draw class;
+    // `stats` and `origins` never consume RNG.
     std::size_t mutate(std::span<std::uint32_t> genes, Rng& rng,
                        MutationStats* stats = nullptr,
                        obs::GeneOrigin* origins = nullptr);
     std::size_t mutate(Genome& genome, Rng& rng, MutationStats* stats = nullptr,
                        obs::GeneOrigin* origins = nullptr);
 
-    // Breed the next generation in place (elites + select/crossover/mutate),
-    // consuming the identical RNG sequence as breed_population_scalar().
-    // `population` must have config.population_size members compatible with
-    // the space; it is overwritten with the children.  `births` (optional)
-    // is cleared and filled with per-child provenance at zero RNG cost.
+    // Breed the next generation in place (elites + select/crossover/mutate).
+    // `population` and `fitness` must both have config.population_size
+    // entries and the members must be compatible with the space; the
+    // population is overwritten with the children.  `births` (optional) is
+    // cleared and filled with per-child provenance at zero RNG cost.
     BreedStats breed(std::vector<Genome>& population, std::span<const double> fitness,
                      const BreedConfig& config, Rng& rng, bool with_stats,
                      BirthLog* births = nullptr);
@@ -179,8 +139,8 @@ public:
     std::span<const double> gene_probs() const { return probs_; }
 
     // The (memoized) mutation value distribution for `param` at `current`;
-    // identical to value_distribution(space[param], hints[param], confidence,
-    // current).  The reference is invalidated by the next distribution()
+    // bit-identical to value_distribution(space[param], hints[param],
+    // confidence, current).  The reference is invalidated by the next distribution()
     // call for an unmemoized (large) domain.
     const std::vector<double>& distribution(std::size_t param, std::uint32_t current);
 
@@ -217,16 +177,6 @@ private:
     std::vector<std::size_t> elite_order_;
     std::vector<std::uint8_t> swap_mask_;  // crossover capture scratch
 };
-
-// The pre-refactor GA breed loop, preserved verbatim as the bit-exactness
-// reference (GaConfig::scalar_breed routes here).  Overwrites `population`
-// with the next generation and returns what it did.
-BreedStats breed_population_scalar(std::vector<Genome>& population,
-                                   std::span<const double> fitness,
-                                   const BreedConfig& config, const ParameterSpace& space,
-                                   const HintSet& hints, double mutation_rate,
-                                   std::size_t generation, Rng& rng, bool with_stats,
-                                   BirthLog* births = nullptr);
 
 // Incremental mean pairwise normalized Hamming distance: feed each genome
 // once (O(genes) per add via per-gene value counts), read value() at any

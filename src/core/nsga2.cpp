@@ -319,8 +319,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     }
 
     // Per-run breeding arena: hoisted per-generation gene mutation
-    // probabilities and memoized value distributions (core/breed.hpp); the
-    // RNG draw sequence is identical to the per-call mutate() path.
+    // probabilities and memoized value distributions (core/breed.hpp).
     MutationStats mut_stats;
     MutationStats* mut_stats_ptr = tracer.enabled() ? &mut_stats : nullptr;
     BreedContext breed_ctx{space_, hints_, config_.mutation_rate};
@@ -390,13 +389,10 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 Genome child_a = population[pa].genome;
                 Genome child_b = population[pb].genome;
                 const bool crossed = rng.bernoulli(config_.crossover_rate);
-                if (crossed) {
-                    auto [xa, xb] =
-                        crossover(child_a, child_b, config_.crossover, rng,
-                                  lineage.has_value() ? &swap_mask : nullptr);
-                    child_a = std::move(xa);
-                    child_b = std::move(xb);
-                }
+                if (crossed)
+                    crossover_views(child_a.genes_mut(), child_b.genes_mut(),
+                                    config_.crossover, rng,
+                                    lineage.has_value() ? &swap_mask : nullptr);
                 if (lineage.has_value()) {
                     const std::size_t genes = child_a.size();
                     origins_a.assign(genes, obs::GeneOrigin::parent_a);

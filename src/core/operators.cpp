@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace nautilus {
 
@@ -10,16 +11,6 @@ namespace {
 
 constexpr double k_max_gene_rate = 0.95;
 constexpr double k_min_rate_factor = 0.12;  // floor on hint-suppressed gene rates
-
-void check_context(const MutationContext& ctx)
-{
-    if (ctx.space == nullptr || ctx.hints == nullptr)
-        throw std::invalid_argument("MutationContext: null space or hints");
-    if (ctx.hints->size() != ctx.space->size())
-        throw std::invalid_argument("MutationContext: hints/space size mismatch");
-    if (ctx.mutation_rate < 0.0 || ctx.mutation_rate > 1.0)
-        throw std::invalid_argument("MutationContext: mutation_rate out of [0, 1]");
-}
 
 // Geometric step-length weights away from `current`, with the mass of each
 // side set by the bias.  `reach` controls the decay of long steps.
@@ -85,20 +76,25 @@ void add_target_weights(std::vector<double>& w, std::vector<double>& raw, std::s
 
 }  // namespace
 
-std::vector<double> gene_mutation_probabilities(const MutationContext& ctx)
+std::vector<double> gene_mutation_probabilities(const ParameterSpace& space,
+                                                const HintSet& hints, double mutation_rate,
+                                                std::size_t generation)
 {
-    check_context(ctx);
-    const std::size_t n = ctx.space->size();
-    std::vector<double> probs(n, ctx.mutation_rate);
+    if (hints.size() != space.size())
+        throw std::invalid_argument("gene_mutation_probabilities: hints/space size mismatch");
+    if (mutation_rate < 0.0 || mutation_rate > 1.0)
+        throw std::invalid_argument("gene_mutation_probabilities: mutation_rate out of [0, 1]");
+    const std::size_t n = space.size();
+    std::vector<double> probs(n, mutation_rate);
     if (n == 0) return probs;
 
-    const double c = ctx.hints->confidence();
+    const double c = hints.confidence();
     if (c == 0.0) return probs;
 
     double total_importance = 0.0;
     std::vector<double> imp(n);
     for (std::size_t i = 0; i < n; ++i) {
-        imp[i] = ctx.hints->effective_importance(i, ctx.generation);
+        imp[i] = hints.effective_importance(i, generation);
         total_importance += imp[i];
     }
     if (total_importance <= 0.0) return probs;
@@ -110,7 +106,7 @@ std::vector<double> gene_mutation_probabilities(const MutationContext& ctx)
         // freeze part of the space (paper footnote 1).
         const double skew = imp[i] * static_cast<double>(n) / total_importance;
         const double blended = std::max((1.0 - c) + c * skew, k_min_rate_factor);
-        probs[i] = std::clamp(ctx.mutation_rate * blended, 0.0, k_max_gene_rate);
+        probs[i] = std::clamp(mutation_rate * blended, 0.0, k_max_gene_rate);
     }
     return probs;
 }
@@ -175,44 +171,6 @@ std::vector<double> value_distribution(const ParamDomain& domain, const ParamHin
     return w;
 }
 
-std::size_t mutate(Genome& genome, const MutationContext& ctx, Rng& rng)
-{
-    check_context(ctx);
-    if (!genome.compatible_with(*ctx.space))
-        throw std::invalid_argument("mutate: genome incompatible with space");
-
-    const std::vector<double> probs = gene_mutation_probabilities(ctx);
-    std::size_t changed = 0;
-    if (ctx.stats != nullptr) ++ctx.stats->genomes;
-    for (std::size_t i = 0; i < genome.size(); ++i) {
-        if (!rng.bernoulli(probs[i])) continue;
-        const ParamDomain& domain = ctx.space->at(i).domain;
-        if (domain.cardinality() <= 1) continue;
-        const ParamHints& hints = ctx.hints->param(i);
-        const std::vector<double> dist =
-            value_distribution(domain, hints, ctx.hints->confidence(), genome.gene(i));
-        const std::size_t pick = rng.weighted_index(dist);
-        genome.set_gene(i, static_cast<std::uint32_t>(pick));
-        ++changed;
-        if (ctx.stats != nullptr || ctx.origins != nullptr) {
-            // Mirror value_distribution's choice of distribution.
-            const bool directed = ctx.hints->confidence() > 0.0 && domain.ordered() &&
-                                  (hints.bias || hints.target);
-            if (ctx.stats != nullptr) {
-                ++ctx.stats->genes_mutated;
-                if (!directed) ++ctx.stats->uniform_draws;
-                else if (hints.bias) ++ctx.stats->bias_draws;
-                else ++ctx.stats->target_draws;
-            }
-            if (ctx.origins != nullptr)
-                ctx.origins[i] = !directed     ? obs::GeneOrigin::uniform
-                                 : hints.bias ? obs::GeneOrigin::bias
-                                              : obs::GeneOrigin::target;
-        }
-    }
-    return changed;
-}
-
 const char* crossover_name(CrossoverKind kind)
 {
     switch (kind) {
@@ -223,21 +181,17 @@ const char* crossover_name(CrossoverKind kind)
     return "?";
 }
 
-std::pair<Genome, Genome> crossover(const Genome& a, const Genome& b, CrossoverKind kind,
-                                    Rng& rng, std::vector<std::uint8_t>* swapped)
+void crossover_views(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
+                     CrossoverKind kind, Rng& rng, std::vector<std::uint8_t>* swapped)
 {
     if (a.size() != b.size() || a.empty())
         throw std::invalid_argument("crossover: parents must have equal nonzero size");
     const std::size_t n = a.size();
-    Genome child_a = a;
-    Genome child_b = b;
     if (swapped != nullptr) swapped->assign(n, 0);
 
     auto swap_range = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t tmp = child_a.gene(i);
-            child_a.set_gene(i, child_b.gene(i));
-            child_b.set_gene(i, tmp);
+            std::swap(a[i], b[i]);
             if (swapped != nullptr) (*swapped)[i] = 1;
         }
     };
@@ -266,7 +220,6 @@ std::pair<Genome, Genome> crossover(const Genome& a, const Genome& b, CrossoverK
         break;
     }
     }
-    return {std::move(child_a), std::move(child_b)};
 }
 
 std::size_t repair(Genome& genome, const ParameterSpace& space,

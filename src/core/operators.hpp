@@ -1,5 +1,5 @@
 #pragma once
-// Genetic operators: hint-aware mutation and crossover.
+// Genetic operators: the hint-aware mutation kernel and crossover.
 //
 // The baseline behavior (HintSet::none) matches a PyEvolve-style integer GA:
 // each gene mutates independently with probability `mutation_rate` to a
@@ -14,7 +14,8 @@
 // confidence knob c:  guided = (1-c) * uniform + c * directed.
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/genome.hpp"
@@ -31,7 +32,7 @@ namespace nautilus {
 // confidence 0).  Engines aggregate one of these per generation and emit it
 // in the "breed" trace event, making hint behavior auditable per run.
 struct MutationStats {
-    std::uint64_t genomes = 0;        // mutate() calls
+    std::uint64_t genomes = 0;        // BreedContext::mutate() calls
     std::uint64_t genes_mutated = 0;  // genes actually changed
     std::uint64_t bias_draws = 0;
     std::uint64_t target_draws = 0;
@@ -40,24 +41,16 @@ struct MutationStats {
     void reset() { *this = MutationStats{}; }
 };
 
-// Everything mutation needs to know; cheap to construct per generation.
-struct MutationContext {
-    const ParameterSpace* space = nullptr;
-    const HintSet* hints = nullptr;  // already direction-folded
-    double mutation_rate = 0.1;      // baseline per-gene probability
-    std::size_t generation = 0;      // for importance decay
-    MutationStats* stats = nullptr;  // optional draw-outcome tally
-    // Optional per-gene origin capture (one slot per gene): each mutated
-    // gene's slot is overwritten with the draw class that set its value.
-    // Pure observation — never consumes RNG draws (DESIGN.md §11).
-    obs::GeneOrigin* origins = nullptr;
-};
-
-// Per-gene mutation probabilities for this generation.  With no hints every
+// Per-gene mutation probabilities at `generation`.  With no hints every
 // entry equals mutation_rate; with importance hints the probabilities are
 // skewed by (blended) normalized effective importance, preserving the mean
 // so the overall mutation pressure matches the baseline.  Capped at 0.95.
-std::vector<double> gene_mutation_probabilities(const MutationContext& ctx);
+// `hints` must be direction-folded and sized like `space`; mutation_rate
+// must lie in [0, 1].  BreedContext hoists this once per generation; the
+// mutation itself is BreedContext::mutate (core/breed.hpp).
+std::vector<double> gene_mutation_probabilities(const ParameterSpace& space,
+                                                const HintSet& hints, double mutation_rate,
+                                                std::size_t generation);
 
 // Probability distribution over the value indices a mutating gene may take,
 // given its current value.  The current index always gets probability 0 (a
@@ -75,22 +68,19 @@ void value_distribution_into(std::vector<double>& w, std::vector<double>& dir,
                              const ParamHints& hints, double confidence,
                              std::uint32_t current);
 
-// Mutate `genome` in place; returns the number of genes changed.
-std::size_t mutate(Genome& genome, const MutationContext& ctx, Rng& rng);
-
 enum class CrossoverKind { single_point, two_point, uniform };
 
 const char* crossover_name(CrossoverKind kind);
 
-// Produce two children from two parents.  Parents must have equal, nonzero
-// size.  single_point/two_point exchange contiguous gene runs; uniform picks
-// each gene from either parent with probability 1/2.  When `swapped` is
-// non-null it is resized to the gene count and entry i is set to 1 iff gene
-// i was exchanged (the mask is shared by both children); capturing it draws
-// nothing from the RNG.
-std::pair<Genome, Genome> crossover(const Genome& a, const Genome& b, CrossoverKind kind,
-                                    Rng& rng,
-                                    std::vector<std::uint8_t>* swapped = nullptr);
+// Crossover in place on two equal-size, nonempty gene views (throws
+// std::invalid_argument otherwise): single_point/two_point exchange a
+// contiguous gene run, uniform exchanges each gene with probability 1/2.
+// When `swapped` is non-null it is resized to the gene count and entry i is
+// set to 1 iff gene i was exchanged (the mask is shared by both children);
+// capturing it draws nothing from the RNG.
+void crossover_views(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
+                     CrossoverKind kind, Rng& rng,
+                     std::vector<std::uint8_t>* swapped = nullptr);
 
 // Force `genome` back into `space`: truncate or zero-extend to the space's
 // parameter count and clamp every out-of-domain gene index to its domain's

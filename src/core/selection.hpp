@@ -2,12 +2,13 @@
 // Parent selection strategies.
 //
 // All strategies take the population's direction-folded fitness scores
-// (higher is better; -inf marks infeasible points) and return the index of a
-// selected parent.  Rank selection is the engine default (robust to fitness
-// scaling, matching PyEvolve's default ranking behavior).
+// (higher is better; -inf marks infeasible points) and pick the index of a
+// parent.  Rank selection is robust to fitness scaling (PyEvolve's default
+// ranking behavior); roulette is the engine default.
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "core/rng.hpp"
 
@@ -24,9 +25,32 @@ struct SelectionConfig {
     std::size_t tournament_size = 2;
 };
 
-// Select one parent index.  `fitness` must be nonempty.
-std::size_t select_parent(std::span<const double> fitness, const SelectionConfig& config,
-                          Rng& rng);
+// Per-generation selection state.  rebuild() hoists everything a parent pick
+// needs that depends only on the population's fitness vector; select() then
+// draws one parent.  What each kind draws is part of the determinism
+// contract (DESIGN.md section 10):
+//  * rank: one weighted_index over the linear-ranking weights, except that a
+//    one-member population returns 0 without consuming RNG;
+//  * tournament: tournament_size (at least 1) uniform indices;
+//  * roulette: one weighted_index over the floor-shifted weights, or one
+//    uniform index when the whole population is infeasible.
+class SelectionTable {
+public:
+    // Throws std::invalid_argument on an empty population or a rank_pressure
+    // outside [1, 2].  Buffers are reused across calls.
+    void rebuild(std::span<const double> fitness, const SelectionConfig& config);
+
+    // One parent pick: an index into the rebuild() fitness vector.
+    std::size_t select(Rng& rng) const;
+
+private:
+    SelectionConfig config_{};
+    std::size_t n_ = 0;
+    std::vector<std::size_t> order_;   // rank: population sorted best-first
+    std::vector<double> weights_;      // rank / roulette pick weights
+    std::vector<double> fitness_;      // tournament comparisons
+    bool uniform_fallback_ = false;    // roulette: whole population infeasible
+};
 
 // Indices of `fitness` sorted best-first (ties broken by lower index).
 std::vector<std::size_t> rank_order(std::span<const double> fitness);

@@ -13,24 +13,10 @@
 #include <vector>
 
 #include "core/nsga2.hpp"
+#include "fixtures.hpp"
 
 namespace nautilus {
 namespace {
-
-ParameterSpace toy_space()
-{
-    ParameterSpace space;
-    for (int i = 0; i < 4; ++i)
-        space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
-    return space;
-}
-
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
-}
 
 std::string temp_path(const std::string& name)
 {

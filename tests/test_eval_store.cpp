@@ -21,6 +21,7 @@
 #include "core/local_search.hpp"
 #include "core/nsga2.hpp"
 #include "core/random_search.hpp"
+#include "fixtures.hpp"
 
 namespace nautilus {
 namespace {
@@ -305,14 +306,6 @@ TEST(EvalStoreConversions, ArityMismatchReadsAsMiss)
 }
 
 // -- warm-vs-cold determinism through every engine -----------------------
-
-ParameterSpace toy_space()
-{
-    ParameterSpace space;
-    for (int i = 0; i < 4; ++i)
-        space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
-    return space;
-}
 
 double gene_sum(const Genome& g)
 {

@@ -4,26 +4,13 @@
 
 #include <cmath>
 
+#include "fixtures.hpp"
+
 namespace nautilus {
 namespace {
 
 // A 4-parameter toy space with a known optimum at all-max indices.
-ParameterSpace toy_space()
-{
-    ParameterSpace space;
-    for (int i = 0; i < 4; ++i)
-        space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
-    return space;
-}
-
 // Separable objective: sum of gene values (max 28 at all-7).
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
-}
-
 GaConfig fast_config(std::size_t generations = 30)
 {
     GaConfig cfg;

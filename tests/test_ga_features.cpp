@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ga.hpp"
+#include "fixtures.hpp"
 
 namespace nautilus {
 namespace {
@@ -14,13 +15,6 @@ ParameterSpace feature_space()
     for (int i = 0; i < 4; ++i)
         space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
     return space;
-}
-
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
 }
 
 TEST(GaEarlyStop, TargetValueStopsTheRun)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
+
 namespace nautilus {
 namespace {
 
@@ -14,13 +16,6 @@ ParameterSpace ls_space()
 }
 
 // Separable maximization objective; optimum 45.
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
-}
-
 // Deceptive objective with a local optimum plateau at all-zeros.
 Evaluation deceptive_eval(const Genome& g)
 {

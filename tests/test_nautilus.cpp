@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
+
 namespace nautilus {
 namespace {
 
@@ -14,13 +16,6 @@ ParameterSpace guided_space()
 }
 
 // Objective with optimum at all-9; each unit step matters.
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
-}
-
 HintSet perfect_hints(const ParameterSpace& space)
 {
     HintSet hints = HintSet::none(space);

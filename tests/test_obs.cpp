@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/ga.hpp"
+#include "fixtures.hpp"
 
 namespace nautilus {
 namespace {
@@ -276,21 +277,6 @@ TEST(ObsTrace, ScopedTimerReportsNesting)
 }
 
 // ---- Engine integration ----------------------------------------------------
-
-ParameterSpace toy_space()
-{
-    ParameterSpace space;
-    for (int i = 0; i < 4; ++i)
-        space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
-    return space;
-}
-
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
-}
 
 RunResult traced_ga_run(std::size_t workers, const std::shared_ptr<MemorySink>& sink,
                         const std::shared_ptr<MetricsRegistry>& reg)

@@ -15,26 +15,12 @@
 #include "core/local_search.hpp"
 #include "core/random_search.hpp"
 #include "obs/obs.hpp"
+#include "fixtures.hpp"
 
 using namespace nautilus;
 using namespace nautilus::obs;
 
 namespace {
-
-ParameterSpace toy_space()
-{
-    ParameterSpace space;
-    for (int i = 0; i < 4; ++i)
-        space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
-    return space;
-}
-
-Evaluation sum_eval(const Genome& g)
-{
-    double v = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
-    return {true, v};
-}
 
 TEST(ObsProgress, LifecycleAccounting)
 {

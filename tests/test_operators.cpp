@@ -5,6 +5,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/breed.hpp"
+#include "fixtures.hpp"
+
 namespace nautilus {
 namespace {
 
@@ -18,17 +21,6 @@ ParameterSpace op_space()
     return space;
 }
 
-MutationContext make_ctx(const ParameterSpace& space, const HintSet& hints,
-                         double rate = 0.1, std::size_t gen = 0)
-{
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = rate;
-    ctx.generation = gen;
-    return ctx;
-}
-
 double sum(const std::vector<double>& v)
 {
     return std::accumulate(v.begin(), v.end(), 0.0);
@@ -40,7 +32,7 @@ TEST(GeneMutationProbabilities, BaselineIsFlat)
 {
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
-    const auto probs = gene_mutation_probabilities(make_ctx(space, hints, 0.1));
+    const auto probs = gene_mutation_probabilities(space, hints, 0.1, 0);
     ASSERT_EQ(probs.size(), 4u);
     for (double p : probs) EXPECT_DOUBLE_EQ(p, 0.1);
 }
@@ -51,7 +43,7 @@ TEST(GeneMutationProbabilities, ZeroConfidenceIgnoresImportance)
     HintSet hints = HintSet::none(space);
     hints.param(0).importance = 100.0;
     hints.set_confidence(0.0);
-    const auto probs = gene_mutation_probabilities(make_ctx(space, hints));
+    const auto probs = gene_mutation_probabilities(space, hints, 0.1, 0);
     for (double p : probs) EXPECT_DOUBLE_EQ(p, 0.1);
 }
 
@@ -61,7 +53,7 @@ TEST(GeneMutationProbabilities, ImportanceSkewsTowardImportantGenes)
     HintSet hints = HintSet::none(space);
     hints.param(0).importance = 100.0;
     hints.set_confidence(0.8);
-    const auto probs = gene_mutation_probabilities(make_ctx(space, hints));
+    const auto probs = gene_mutation_probabilities(space, hints, 0.1, 0);
     EXPECT_GT(probs[0], probs[1]);
     EXPECT_GT(probs[0], 0.1);
     EXPECT_LT(probs[1], 0.1);
@@ -73,7 +65,7 @@ TEST(GeneMutationProbabilities, FloorKeepsUnimportantGenesAlive)
     HintSet hints = HintSet::none(space);
     hints.param(0).importance = 100.0;
     hints.set_confidence(1.0);
-    const auto probs = gene_mutation_probabilities(make_ctx(space, hints));
+    const auto probs = gene_mutation_probabilities(space, hints, 0.1, 0);
     for (std::size_t i = 1; i < probs.size(); ++i) EXPECT_GT(probs[i], 0.0);
 }
 
@@ -83,7 +75,7 @@ TEST(GeneMutationProbabilities, CapAt95Percent)
     HintSet hints = HintSet::none(space);
     hints.param(0).importance = 100.0;
     hints.set_confidence(1.0);
-    const auto probs = gene_mutation_probabilities(make_ctx(space, hints, 1.0));
+    const auto probs = gene_mutation_probabilities(space, hints, 1.0, 0);
     for (double p : probs) EXPECT_LE(p, 0.95);
 }
 
@@ -94,8 +86,8 @@ TEST(GeneMutationProbabilities, DecayFlattensOverGenerations)
     hints.param(0).importance = 100.0;
     hints.param(0).importance_decay = 0.9;
     hints.set_confidence(0.8);
-    const auto early = gene_mutation_probabilities(make_ctx(space, hints, 0.1, 0));
-    const auto late = gene_mutation_probabilities(make_ctx(space, hints, 0.1, 200));
+    const auto early = gene_mutation_probabilities(space, hints, 0.1, 0);
+    const auto late = gene_mutation_probabilities(space, hints, 0.1, 200);
     EXPECT_GT(early[0] - early[1], late[0] - late[1]);
     EXPECT_NEAR(late[0], 0.1, 1e-3);
     EXPECT_NEAR(late[1], 0.1, 1e-3);
@@ -110,7 +102,7 @@ TEST(GeneMutationProbabilities, MeanApproximatelyPreservedWithoutFloor)
     hints.param(0).importance = 3.0;
     hints.param(1).importance = 2.0;
     hints.set_confidence(0.7);
-    const auto probs = gene_mutation_probabilities(make_ctx(space, hints, 0.1));
+    const auto probs = gene_mutation_probabilities(space, hints, 0.1, 0);
     EXPECT_NEAR(sum(probs), 0.4, 1e-9);
 }
 
@@ -118,10 +110,11 @@ TEST(GeneMutationProbabilities, ValidatesContext)
 {
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
-    MutationContext ctx;  // null pointers
-    EXPECT_THROW(gene_mutation_probabilities(ctx), std::invalid_argument);
-    EXPECT_THROW(gene_mutation_probabilities(make_ctx(space, hints, 1.5)),
-                 std::invalid_argument);
+    ParameterSpace smaller;
+    smaller.add("a", ParamDomain::int_range(0, 9));
+    EXPECT_THROW(gene_mutation_probabilities(smaller, hints, 0.1, 0), std::invalid_argument);
+    EXPECT_THROW(gene_mutation_probabilities(space, hints, 1.5, 0), std::invalid_argument);
+    EXPECT_THROW(gene_mutation_probabilities(space, hints, -0.1, 0), std::invalid_argument);
 }
 
 // ---- value_distribution -----------------------------------------------------
@@ -255,16 +248,17 @@ TEST(ValueDistribution, StepScaleControlsReach)
     EXPECT_LT(w_near[19], w_far[19]);
 }
 
-// ---- mutate -----------------------------------------------------------------
+// ---- BreedContext::mutate ---------------------------------------------------
 
 TEST(Mutate, RateZeroChangesNothing)
 {
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{1};
+    BreedContext ctx{space, hints, 0.0};
     Genome g = Genome::random(space, rng);
     const Genome before = g;
-    EXPECT_EQ(mutate(g, make_ctx(space, hints, 0.0), rng), 0u);
+    EXPECT_EQ(ctx.mutate(g, rng), 0u);
     EXPECT_EQ(g, before);
 }
 
@@ -273,9 +267,10 @@ TEST(Mutate, RateOneChangesEveryMultiValueGene)
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{2};
+    BreedContext ctx{space, hints, 1.0};
     Genome g = Genome::random(space, rng);
     const Genome before = g;
-    const std::size_t changed = mutate(g, make_ctx(space, hints, 1.0), rng);
+    const std::size_t changed = ctx.mutate(g, rng);
     EXPECT_EQ(changed, 4u);
     for (std::size_t i = 0; i < 4; ++i) EXPECT_NE(g.gene(i), before.gene(i));
 }
@@ -284,10 +279,11 @@ TEST(Mutate, StaysWithinDomains)
 {
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
+    BreedContext ctx{space, hints, 0.5};
     Rng rng{3};
     for (int trial = 0; trial < 200; ++trial) {
         Genome g = Genome::random(space, rng);
-        mutate(g, make_ctx(space, hints, 0.5), rng);
+        ctx.mutate(g, rng);
         ASSERT_TRUE(g.compatible_with(space));
     }
 }
@@ -296,12 +292,13 @@ TEST(Mutate, ObservedRateMatchesConfigured)
 {
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
+    BreedContext ctx{space, hints, 0.1};
     Rng rng{4};
     std::size_t changed = 0;
     constexpr int trials = 5000;
     for (int t = 0; t < trials; ++t) {
         Genome g = Genome::random(space, rng);
-        changed += mutate(g, make_ctx(space, hints, 0.1), rng);
+        changed += ctx.mutate(g, rng);
     }
     // 4 genes x 0.1 = 0.4 expected changes per genome.
     EXPECT_NEAR(changed / static_cast<double>(trials), 0.4, 0.03);
@@ -311,12 +308,13 @@ TEST(Mutate, RejectsIncompatibleGenome)
 {
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
+    BreedContext ctx{space, hints, 0.1};
     Rng rng{5};
     Genome g{{0, 0}};
-    EXPECT_THROW(mutate(g, make_ctx(space, hints), rng), std::invalid_argument);
+    EXPECT_THROW(ctx.mutate(g, rng), std::invalid_argument);
 }
 
-// ---- crossover --------------------------------------------------------------
+// ---- crossover_views --------------------------------------------------------
 
 TEST(Crossover, ChildrenGenesComeFromParentsColumnwise)
 {
@@ -326,7 +324,7 @@ TEST(Crossover, ChildrenGenesComeFromParentsColumnwise)
     for (auto kind : {CrossoverKind::single_point, CrossoverKind::two_point,
                       CrossoverKind::uniform}) {
         for (int t = 0; t < 50; ++t) {
-            const auto [ca, cb] = crossover(a, b, kind, rng);
+            const auto [ca, cb] = crossed(a, b, kind, rng);
             for (std::size_t i = 0; i < a.size(); ++i) {
                 // Each column keeps exactly one 0 and one 1.
                 EXPECT_EQ(ca.gene(i) + cb.gene(i), 1u) << crossover_name(kind);
@@ -341,7 +339,7 @@ TEST(Crossover, SinglePointProducesContiguousSwap)
     const Genome a{{0, 0, 0, 0, 0, 0}};
     const Genome b{{1, 1, 1, 1, 1, 1}};
     for (int t = 0; t < 50; ++t) {
-        const auto [ca, cb] = crossover(a, b, CrossoverKind::single_point, rng);
+        const auto [ca, cb] = crossed(a, b, CrossoverKind::single_point, rng);
         // ca must be 0...0 1...1 with exactly one transition.
         int transitions = 0;
         for (std::size_t i = 1; i < ca.size(); ++i)
@@ -356,7 +354,7 @@ TEST(Crossover, SingleGeneParentsAreNoOp)
     Rng rng{8};
     const Genome a{{3}};
     const Genome b{{7}};
-    const auto [ca, cb] = crossover(a, b, CrossoverKind::single_point, rng);
+    const auto [ca, cb] = crossed(a, b, CrossoverKind::single_point, rng);
     EXPECT_EQ(ca, a);
     EXPECT_EQ(cb, b);
 }
@@ -366,9 +364,9 @@ TEST(Crossover, RejectsMismatchedParents)
     Rng rng{9};
     const Genome a{{1, 2}};
     const Genome b{{1, 2, 3}};
-    EXPECT_THROW(crossover(a, b, CrossoverKind::uniform, rng), std::invalid_argument);
+    EXPECT_THROW(crossed(a, b, CrossoverKind::uniform, rng), std::invalid_argument);
     const Genome empty;
-    EXPECT_THROW(crossover(empty, empty, CrossoverKind::uniform, rng),
+    EXPECT_THROW(crossed(empty, empty, CrossoverKind::uniform, rng),
                  std::invalid_argument);
 }
 
@@ -379,7 +377,7 @@ TEST(Crossover, UniformMixesBothParents)
     const Genome b{{1, 1, 1, 1, 1, 1, 1, 1}};
     int mixed = 0;
     for (int t = 0; t < 100; ++t) {
-        const auto [ca, cb] = crossover(a, b, CrossoverKind::uniform, rng);
+        const auto [ca, cb] = crossed(a, b, CrossoverKind::uniform, rng);
         bool has0 = false;
         bool has1 = false;
         for (std::size_t i = 0; i < ca.size(); ++i) {
@@ -406,7 +404,7 @@ TEST(Crossover, EveryGeneIndexExchangedWithNonzeroFrequency)
                       CrossoverKind::uniform}) {
         std::vector<int> swapped(n, 0);
         for (int t = 0; t < trials; ++t) {
-            const auto [ca, cb] = crossover(a, b, kind, rng);
+            const auto [ca, cb] = crossed(a, b, kind, rng);
             for (std::size_t i = 0; i < n; ++i)
                 if (ca.gene(i) != a.gene(i)) ++swapped[i];
         }
@@ -430,7 +428,7 @@ TEST(Crossover, TwoPointLastGeneMatchesExpectedRate)
     const Genome b{{1, 1, 1, 1, 1}};
     int last_swapped = 0;
     for (int t = 0; t < trials; ++t) {
-        const auto [ca, cb] = crossover(a, b, CrossoverKind::two_point, rng);
+        const auto [ca, cb] = crossed(a, b, CrossoverKind::two_point, rng);
         if (ca.gene(n - 1) != 0) ++last_swapped;
     }
     const double rate = last_swapped / static_cast<double>(trials);

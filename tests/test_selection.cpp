@@ -14,9 +14,11 @@ constexpr double k_inf = std::numeric_limits<double>::infinity();
 std::vector<int> tally(std::span<const double> fitness, const SelectionConfig& cfg,
                        int draws, std::uint64_t seed)
 {
+    SelectionTable table;
+    table.rebuild(fitness, cfg);
     Rng rng{seed};
     std::vector<int> counts(fitness.size(), 0);
-    for (int i = 0; i < draws; ++i) ++counts[select_parent(fitness, cfg, rng)];
+    for (int i = 0; i < draws; ++i) ++counts[table.select(rng)];
     return counts;
 }
 
@@ -29,20 +31,20 @@ TEST(RankOrder, SortsBestFirstStably)
 
 TEST(SelectParent, EmptyPopulationThrows)
 {
-    Rng rng{1};
+    SelectionTable table;
     const std::vector<double> empty;
-    EXPECT_THROW(select_parent(empty, SelectionConfig{}, rng), std::invalid_argument);
+    EXPECT_THROW(table.rebuild(empty, SelectionConfig{}), std::invalid_argument);
 }
 
 TEST(SelectParent, BadRankPressureThrows)
 {
-    Rng rng{1};
+    SelectionTable table;
     const std::vector<double> fitness{1.0, 2.0};
     SelectionConfig cfg;
     cfg.rank_pressure = 0.5;
-    EXPECT_THROW(select_parent(fitness, cfg, rng), std::invalid_argument);
+    EXPECT_THROW(table.rebuild(fitness, cfg), std::invalid_argument);
     cfg.rank_pressure = 2.5;
-    EXPECT_THROW(select_parent(fitness, cfg, rng), std::invalid_argument);
+    EXPECT_THROW(table.rebuild(fitness, cfg), std::invalid_argument);
 }
 
 TEST(SelectParent, SingleMemberAlwaysSelected)
@@ -53,7 +55,9 @@ TEST(SelectParent, SingleMemberAlwaysSelected)
                       SelectionKind::roulette}) {
         SelectionConfig cfg;
         cfg.kind = kind;
-        EXPECT_EQ(select_parent(fitness, cfg, rng), 0u);
+        SelectionTable table;
+        table.rebuild(fitness, cfg);
+        EXPECT_EQ(table.select(rng), 0u);
     }
 }
 

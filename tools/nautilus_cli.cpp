@@ -138,7 +138,6 @@ struct CliOptions {
     double progress_interval = 0.0; // > 0 enables the stderr heartbeat
     std::string store;              // persistent evaluation store directory
     std::uint64_t store_max_bytes = 0;  // 0 = unlimited
-    bool scalar_breed = false;      // pre-refactor GA breed path (bit-identical)
 
     // Job plane: one standalone spec run, or the multi-tenant server.
     std::string job_spec;            // --job SPEC.json
@@ -178,7 +177,7 @@ struct CliOptions {
                  "          [--dataset PATH] [--pareto METRIC2] [--trace PATH] [--lineage]\n"
                  "          [--metrics]\n"
                  "          [--serve PORT] [--serve-grace S] [--progress [S]]\n"
-                 "          [--store PATH] [--store-max-bytes N] [--scalar-breed]\n"
+                 "          [--store PATH] [--store-max-bytes N]\n"
                  "          [--job SPEC.json] [--serve-jobs PORT] [--jobs-capacity N]\n"
                  "          [--jobs-dir PATH] [--serve-duration S]\n"
                  "          [--log PATH] [--log-level debug|info|warn|error]\n"
@@ -275,7 +274,6 @@ CliOptions parse(int argc, char** argv)
         }
         else if (arg == "--store") opt.store = need_value(i);
         else if (arg == "--store-max-bytes") opt.store_max_bytes = u64(i);
-        else if (arg == "--scalar-breed") opt.scalar_breed = true;
         else if (arg == "--job") opt.job_spec = need_value(i);
         else if (arg == "--serve-jobs") opt.serve_jobs_port = port(i);
         else if (arg == "--jobs-capacity") opt.jobs_capacity = count(i);
@@ -416,8 +414,8 @@ int run_job_mode(const CliOptions& opt, serve::JobRunInputs inputs)
         std::fprintf(stderr, "invalid job spec: %s\n", e.what());
         return 2;
     }
-    if (opt.scalar_breed || !opt.dataset.empty()) {
-        std::fprintf(stderr, "--scalar-breed and --dataset apply to the multi-run "
+    if (!opt.dataset.empty()) {
+        std::fprintf(stderr, "--dataset applies to the multi-run "
                              "experiment, not to a job\n");
         return 2;
     }
@@ -720,7 +718,6 @@ int main(int argc, char** argv)
     cfg.ga.seed = opt.seed;
     cfg.ga.eval_workers = opt.workers;
     cfg.ga.obs = inst;
-    cfg.ga.scalar_breed = opt.scalar_breed;
     if (store) {
         cfg.ga.store = store;
         cfg.ga.store_namespace =

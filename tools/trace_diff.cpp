@@ -7,11 +7,13 @@
 //
 // Two families of checks:
 //
-//   Deterministic (on by default, zero tolerance): run count and engines,
-//   per-run distinct evaluations, total calls, cache hits, retries, and the
-//   final best value.  For identical-seed runs of a deterministic engine
-//   these must match bit-for-bit (the repo's determinism contract), so any
-//   delta is a real behavioural regression, not noise.
+//   Deterministic (on by default, zero tolerance): run aggregates -- run
+//   count and engines, per-run distinct evaluations, total calls, cache
+//   hits, retries, and the final best value.  For identical-seed runs of a
+//   deterministic engine these must match bit-for-bit (the repo's
+//   determinism contract).  It compares aggregates, not event streams: two
+//   runs can agree on all of them and still differ in their births or
+//   per-generation statistics, which the golden traces (tests/golden) pin.
 //     --allow-best-delta X      tolerate |best_base - best_cand| <= X
 //     --allow-count-delta N     tolerate counter deltas up to N
 //     --no-counters             skip the deterministic family entirely
