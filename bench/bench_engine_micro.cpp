@@ -21,6 +21,7 @@
 #include "core/breed.hpp"
 #include "core/ga.hpp"
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
@@ -447,22 +448,6 @@ int write_obs_bench(const std::string& path)
 // throughput against a committed artifact; `--max-breed-drop PCT` turns that
 // comparison into a gate.
 
-// Naive numeric field lookup, good enough for the flat one-level artifacts
-// this tool itself writes.
-bool json_number_field(const std::string& text, const std::string& key, double* out)
-{
-    const auto pos = text.find("\"" + key + "\"");
-    if (pos == std::string::npos) return false;
-    const auto colon = text.find(':', pos);
-    if (colon == std::string::npos) return false;
-    try {
-        *out = std::stod(text.substr(colon + 1));
-    } catch (const std::exception&) {
-        return false;
-    }
-    return true;
-}
-
 int write_engine_bench(const std::string& path, const std::string& baseline_path,
                        double max_breed_drop_pct)
 {
@@ -588,9 +573,16 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
         }
         std::ostringstream text;
         text << in.rdbuf();
+        const obs::FlatObject baseline = obs::parse_flat_object(text.str());
+        if (baseline.error) {
+            std::fprintf(stderr, "bench_engine_micro: baseline %s: %s\n",
+                         baseline_path.c_str(), baseline.error->describe().c_str());
+            return 1;
+        }
+        const obs::JsonValue* field = baseline.find("breed_children_per_second");
         double baseline_children_per_s = 0.0;
-        if (!json_number_field(text.str(), "breed_children_per_second",
-                               &baseline_children_per_s) ||
+        if (field == nullptr || field->kind != obs::JsonValue::Kind::number ||
+            !obs::from_json_number(field->text, baseline_children_per_s) ||
             baseline_children_per_s <= 0.0) {
             std::fprintf(stderr,
                          "bench_engine_micro: baseline %s lacks "

@@ -51,7 +51,12 @@ void write_quarantine(std::ostream& out, const std::vector<std::uint64_t>& q)
 // the offending path and token on any mismatch.
 class Reader {
 public:
-    Reader(std::istream& in, std::string path) : in_(in), path_(std::move(path)) {}
+    Reader(std::istream& in, std::string path) : in_(in), path_(std::move(path))
+    {
+        in_.seekg(0, std::ios::end);
+        end_ = in_.tellg();
+        in_.seekg(0, std::ios::beg);
+    }
 
     void expect(const char* keyword)
     {
@@ -72,6 +77,20 @@ public:
         return static_cast<std::size_t>(u64());
     }
 
+    // An element count.  Every element takes at least one byte of the file,
+    // so a count above the bytes left is corrupt -- rejected before anything
+    // is sized by it.
+    std::size_t count()
+    {
+        const std::uint64_t n = u64();
+        const std::streamoff at = in_.tellg();  // -1 once the input is exhausted
+        const std::streamoff left = at < 0 ? 0 : end_ - at;
+        if (n > static_cast<std::uint64_t>(left))
+            fail("count " + std::to_string(n) + " exceeds the " + std::to_string(left) +
+                 " bytes left");
+        return static_cast<std::size_t>(n);
+    }
+
     std::uint32_t u32()
     {
         return static_cast<std::uint32_t>(u64());
@@ -83,7 +102,7 @@ public:
 
     Genome genome()
     {
-        const std::size_t n = size();
+        const std::size_t n = count();
         std::vector<std::uint32_t> genes;
         genes.reserve(n);
         for (std::size_t i = 0; i < n; ++i) genes.push_back(u32());
@@ -92,7 +111,7 @@ public:
 
     std::vector<double> values()
     {
-        const std::size_t n = size();
+        const std::size_t n = count();
         std::vector<double> out;
         out.reserve(n);
         for (std::size_t i = 0; i < n; ++i) out.push_back(dbl());
@@ -102,7 +121,7 @@ public:
     std::vector<std::uint64_t> quarantine()
     {
         expect("quarantine");
-        const std::size_t n = size();
+        const std::size_t n = count();
         std::vector<std::uint64_t> keys;
         keys.reserve(n);
         for (std::size_t i = 0; i < n; ++i) keys.push_back(u64());
@@ -139,6 +158,7 @@ public:
 private:
     std::istream& in_;
     std::string path_;
+    std::streamoff end_ = 0;
 };
 
 void commit(const std::string& path, const std::string& content)
@@ -284,7 +304,7 @@ GaCheckpoint load_ga_checkpoint(const std::string& path)
     cp.stall = r.size();
     cp.best_genome = r.genome();
     r.expect("history");
-    cp.history.resize(r.size());
+    cp.history.resize(r.count());
     for (GenerationStats& s : cp.history) {
         s.generation = r.size();
         s.best = r.dbl();
@@ -295,16 +315,16 @@ GaCheckpoint load_ga_checkpoint(const std::string& path)
         s.distinct_evals = r.size();
     }
     r.expect("curve");
-    cp.curve.resize(r.size());
+    cp.curve.resize(r.count());
     for (CurvePoint& p : cp.curve) {
         p.evals = r.dbl();
         p.best = r.dbl();
     }
     r.expect("population");
-    cp.population.resize(r.size());
+    cp.population.resize(r.count());
     for (Genome& g : cp.population) g = r.genome();
     r.expect("cache");
-    cp.cache.resize(r.size());
+    cp.cache.resize(r.count());
     for (auto& [genome, eval] : cp.cache) {
         genome = r.genome();
         eval.feasible = r.boolean();
@@ -319,12 +339,12 @@ GaCheckpoint load_ga_checkpoint(const std::string& path)
     cp.have_lineage = r.boolean();
     if (cp.have_lineage) {
         r.expect("slots");
-        cp.lineage.slot_ids.resize(r.size());
+        cp.lineage.slot_ids.resize(r.count());
         for (std::uint64_t& id : cp.lineage.slot_ids) id = r.u64();
         r.expect("births");
         cp.lineage.next_id = r.u64();
         cp.lineage.last_improved = r.u64();
-        cp.lineage.records.resize(r.size());
+        cp.lineage.records.resize(r.count());
         for (obs::BirthRecord& rec : cp.lineage.records) {
             rec.id = r.u64();
             rec.parent_a = r.u64();
@@ -361,7 +381,7 @@ Nsga2Checkpoint load_nsga2_checkpoint(const std::string& path)
     r.expect("rng");
     for (auto& word : cp.rng_state) word = r.u64();
     r.expect("population");
-    const std::size_t pop = r.size();
+    const std::size_t pop = r.count();
     cp.population.resize(pop);
     cp.population_values.resize(pop);
     for (std::size_t i = 0; i < pop; ++i) {
@@ -369,7 +389,7 @@ Nsga2Checkpoint load_nsga2_checkpoint(const std::string& path)
         cp.population_values[i] = r.values();
     }
     r.expect("archive");
-    const std::size_t arch = r.size();
+    const std::size_t arch = r.count();
     cp.archive.resize(arch);
     cp.archive_values.resize(arch);
     for (std::size_t i = 0; i < arch; ++i) {
@@ -377,7 +397,7 @@ Nsga2Checkpoint load_nsga2_checkpoint(const std::string& path)
         cp.archive_values[i] = r.values();
     }
     r.expect("cache");
-    cp.cache.resize(r.size());
+    cp.cache.resize(r.count());
     for (auto& [genome, value] : cp.cache) {
         genome = r.genome();
         if (r.boolean()) value = r.values();

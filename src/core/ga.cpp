@@ -30,8 +30,6 @@ void GaConfig::validate() const
     if (eval_workers == 0)
         throw std::invalid_argument("GaConfig: eval_workers must be >= 1");
     fault.validate();
-    if (checkpoint_every == 0)
-        throw std::invalid_argument("GaConfig: checkpoint_every must be >= 1");
     if (halt_at_generation != 0 && checkpoint_path.empty())
         throw std::invalid_argument("GaConfig: halt_at_generation requires checkpoint_path");
 }
@@ -254,9 +252,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
              gen > start_gen) ||
             (config_.cancel != nullptr &&
              config_.cancel->load(std::memory_order_acquire) && gen > start_gen);
-        if (!config_.checkpoint_path.empty() && gen > start_gen &&
-            (gen % config_.checkpoint_every == 0 || halt_here))
-            write_checkpoint(gen);
+        if (!config_.checkpoint_path.empty() && gen > start_gen) write_checkpoint(gen);
         if (halt_here) {
             result.halted = true;
             break;

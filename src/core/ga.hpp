@@ -89,13 +89,12 @@ struct GaConfig {
     std::shared_ptr<const std::atomic<bool>> cancel;
 
     // Checkpoint/resume.  When `checkpoint_path` is set, the full run state
-    // is written there every `checkpoint_every` generations (atomically, via
-    // a temp file).  `halt_at_generation` (when nonzero) writes a checkpoint
+    // is written there at every generation boundary (atomically, via a temp
+    // file).  `halt_at_generation` (when nonzero) writes a checkpoint
     // at that generation and stops the run with result.halted = true -- a
     // deterministic stand-in for "the process was killed", used by the
     // resume tests and `nautilus_cli --die-at-gen`.
     std::string checkpoint_path;
-    std::size_t checkpoint_every = 1;
     std::size_t halt_at_generation = 0;  // 0 = never halt
 
     void validate() const;  // throws std::invalid_argument on bad settings

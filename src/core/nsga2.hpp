@@ -66,7 +66,6 @@ struct MultiObjectiveConfig {
 
     // Checkpoint/resume; same semantics as GaConfig (DESIGN.md section 8).
     std::string checkpoint_path;
-    std::size_t checkpoint_every = 1;
     std::size_t halt_at_generation = 0;  // 0 = never halt
 
     void validate() const;

@@ -1,6 +1,7 @@
 #include "ip/dataset.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -184,6 +185,19 @@ void Dataset::save_csv(std::ostream& out, const IpGenerator& generator) const
     }
 }
 
+namespace {
+
+// A whole-cell number: std::from_chars must consume every byte.
+template <class T>
+bool parse_cell(const std::string& cell, T& out)
+{
+    const char* const end = cell.data() + cell.size();
+    const auto [ptr, ec] = std::from_chars(cell.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
 Dataset Dataset::load_csv(std::istream& in, const IpGenerator& generator)
 {
     const ParameterSpace& space = generator.space();
@@ -192,23 +206,33 @@ Dataset Dataset::load_csv(std::istream& in, const IpGenerator& generator)
     if (!std::getline(in, line)) throw std::runtime_error("Dataset::load_csv: empty stream");
 
     Dataset ds;
+    std::size_t row_number = 1;  // the header is row 1
     while (std::getline(in, line)) {
+        ++row_number;
         if (line.empty()) continue;
+        const auto bad_cell = [row_number](const std::string& cell) {
+            return std::runtime_error("Dataset::load_csv: row " + std::to_string(row_number) +
+                                      ": bad cell '" + cell + "'");
+        };
         std::stringstream row{line};
         std::string cell;
         std::vector<std::uint32_t> genes(space.size());
         for (std::size_t i = 0; i < space.size(); ++i) {
             if (!std::getline(row, cell, ';'))
                 throw std::runtime_error("Dataset::load_csv: truncated row");
-            genes[i] = static_cast<std::uint32_t>(std::stoul(cell));
+            if (!parse_cell(cell, genes[i])) throw bad_cell(cell);
         }
         if (!std::getline(row, cell, ';'))
             throw std::runtime_error("Dataset::load_csv: missing feasible flag");
+        if (cell != "0" && cell != "1") throw bad_cell(cell);
         MetricValues values;
         values.feasible = cell == "1";
         for (Metric m : metrics) {
             if (!std::getline(row, cell, ';')) break;
-            if (!cell.empty()) values.set(m, std::stod(cell));
+            if (cell.empty()) continue;
+            double v = 0.0;
+            if (!parse_cell(cell, v) || !std::isfinite(v)) throw bad_cell(cell);
+            values.set(m, v);
         }
         Genome g{std::move(genes)};
         if (!g.compatible_with(space))

@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 #include "obs/lineage.hpp"
 
 namespace nautilus::obs {
@@ -45,27 +46,6 @@ bool ends_with(std::string_view s, std::string_view suffix)
     return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-void append_json_escaped(std::string& out, std::string_view s)
-{
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else {
-                out += c;
-            }
-        }
-    }
-}
-
 // One Chrome trace-event object, sortable by timestamp.
 struct ChromeEvent {
     double ts_us = 0.0;
@@ -93,19 +73,15 @@ std::string args_json(const TraceEvent& ev)
             rendered = std::to_string(*u);
         else if (const double* d = std::get_if<double>(&value))
             rendered = std::isfinite(*d) ? format_value(*d) : "null";
-        else if (const std::string* s = std::get_if<std::string>(&value)) {
-            rendered = "\"";
-            append_json_escaped(rendered, *s);
-            rendered += '"';
-        }
+        else if (const std::string* s = std::get_if<std::string>(&value))
+            append_json_string(rendered, *s);
         else {
             continue;  // double arrays stay in the JSONL source
         }
         if (!first) out += ',';
         first = false;
-        out += '"';
-        append_json_escaped(out, key);
-        out += "\":";
+        append_json_string(out, key);
+        out += ':';
         out += rendered;
     }
     out += '}';
@@ -119,9 +95,9 @@ ChromeEvent complete_event(std::string_view name, double end_t, double seconds, 
     const double ts_us = std::max(end_t * 1e6 - dur_us, 0.0);
     ChromeEvent ev;
     ev.ts_us = ts_us;
-    ev.json = "{\"name\":\"";
-    append_json_escaped(ev.json, name);
-    ev.json += "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+    ev.json = "{\"name\":";
+    append_json_string(ev.json, name);
+    ev.json += ",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
                ",\"ts\":" + format_us(ts_us) + ",\"dur\":" + format_us(dur_us) +
                ",\"args\":" + args + '}';
     return ev;
@@ -131,9 +107,9 @@ ChromeEvent counter_event(std::string_view name, double t, double value)
 {
     ChromeEvent ev;
     ev.ts_us = std::max(t * 1e6, 0.0);
-    ev.json = "{\"name\":\"";
-    append_json_escaped(ev.json, name);
-    ev.json += "\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":" + format_us(ev.ts_us) +
+    ev.json = "{\"name\":";
+    append_json_string(ev.json, name);
+    ev.json += ",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":" + format_us(ev.ts_us) +
                ",\"args\":{\"value\":" + format_value(value) + "}}";
     return ev;
 }
@@ -142,9 +118,9 @@ ChromeEvent instant_event(std::string_view name, double t, const std::string& ar
 {
     ChromeEvent ev;
     ev.ts_us = std::max(t * 1e6, 0.0);
-    ev.json = "{\"name\":\"";
-    append_json_escaped(ev.json, name);
-    ev.json += "\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":1,\"ts\":" +
+    ev.json = "{\"name\":";
+    append_json_string(ev.json, name);
+    ev.json += ",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":1,\"ts\":" +
                format_us(ev.ts_us) + ",\"args\":" + args + '}';
     return ev;
 }

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace nautilus::obs {
 
 namespace {
@@ -400,9 +402,9 @@ std::string to_json(const LineageCounters& counters)
     append_json_uint(out, "genes_repair", counters.genes_repair);
     out += "\"last_run\":";
     if (counters.have_last) {
-        out += "{\"engine\":\"";
-        out += counters.engine;  // engine names are fixed lowercase tokens
-        out += "\",";
+        out += "{\"engine\":";
+        append_json_string(out, counters.engine);
+        out += ',';
         append_summary_json(out, counters.last);
         out.back() = '}';  // replace the trailing comma
     }

@@ -1,50 +1,14 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 
 namespace nautilus::obs {
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-// Shortest round-trip decimal; non-finite values become JSON null.  A plain
-// integer rendering gets ".0" appended so the parser can tell doubles from
-// integer fields.  The rendering is shared (obs/format.hpp) so the trace,
-// /status JSON and Prometheus exposition agree bit-for-bit.
-void append_double(std::string& out, double v)
-{
-    append_json_double(out, v);
-}
 
 void append_value(std::string& out, const FieldValue& value)
 {
@@ -52,14 +16,14 @@ void append_value(std::string& out, const FieldValue& value)
     case 0: out += std::get<bool>(value) ? "true" : "false"; break;
     case 1: out += std::to_string(std::get<std::int64_t>(value)); break;
     case 2: out += std::to_string(std::get<std::uint64_t>(value)); break;
-    case 3: append_double(out, std::get<double>(value)); break;
-    case 4: append_escaped(out, std::get<std::string>(value)); break;
+    case 3: append_json_double(out, std::get<double>(value)); break;
+    case 4: append_json_string(out, std::get<std::string>(value)); break;
     case 5: {
         const auto& vec = std::get<std::vector<double>>(value);
         out += '[';
         for (std::size_t i = 0; i < vec.size(); ++i) {
             if (i > 0) out += ',';
-            append_double(out, vec[i]);
+            append_json_double(out, vec[i]);
         }
         out += ']';
         break;
@@ -67,151 +31,24 @@ void append_value(std::string& out, const FieldValue& value)
     }
 }
 
-// --- Minimal parser for the emitted subset --------------------------------
-
-struct Parser {
-    std::string_view in;
-    std::size_t pos = 0;
-
-    bool eof() const { return pos >= in.size(); }
-    char peek() const { return in[pos]; }
-    bool consume(char c)
-    {
-        if (eof() || in[pos] != c) return false;
-        ++pos;
-        return true;
+// The trace's reading of a JSON value.  Numbers keep their emitted kind: a
+// '.' or exponent means double, a leading '-' means int64, anything else
+// uint64.  False when a number is out of range for its kind.
+bool field_value(JsonValue& json, FieldValue& out)
+{
+    switch (json.kind) {
+    case JsonValue::Kind::string: out = std::move(json.text); return true;
+    case JsonValue::Kind::boolean: out = json.truth; return true;
+    case JsonValue::Kind::null: out = std::numeric_limits<double>::quiet_NaN(); return true;
+    case JsonValue::Kind::array: out = std::move(json.numbers); return true;
+    case JsonValue::Kind::number: break;
     }
-    void skip_ws()
-    {
-        while (!eof() && (in[pos] == ' ' || in[pos] == '\t')) ++pos;
-    }
-
-    bool parse_string(std::string& out)
-    {
-        if (!consume('"')) return false;
-        out.clear();
-        while (!eof()) {
-            const char c = in[pos++];
-            if (c == '"') return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (eof()) return false;
-            const char esc = in[pos++];
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'u': {
-                if (pos + 4 > in.size()) return false;
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = in[pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-                    else return false;
-                }
-                if (code > 0xff) return false;  // writer only escapes control bytes
-                out += static_cast<char>(code);
-                break;
-            }
-            default: return false;
-            }
-        }
-        return false;
-    }
-
-    // Numbers keep their emitted kind: a '.', exponent or out-of-range
-    // mantissa means double; a leading '-' means int64; otherwise uint64.
-    bool parse_number(FieldValue& out)
-    {
-        const std::size_t start = pos;
-        if (!eof() && in[pos] == '-') ++pos;
-        bool is_double = false;
-        while (!eof() &&
-               (std::isdigit(static_cast<unsigned char>(in[pos])) || in[pos] == '.' ||
-                in[pos] == 'e' || in[pos] == 'E' || in[pos] == '+' || in[pos] == '-')) {
-            if (in[pos] == '.' || in[pos] == 'e' || in[pos] == 'E') is_double = true;
-            ++pos;
-        }
-        if (pos == start) return false;
-        const std::string text{in.substr(start, pos - start)};
-        errno = 0;
-        if (is_double) {
-            out = std::strtod(text.c_str(), nullptr);
-            return errno == 0;
-        }
-        if (text[0] == '-') {
-            out = static_cast<std::int64_t>(std::strtoll(text.c_str(), nullptr, 10));
-            return errno == 0;
-        }
-        out = static_cast<std::uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-        return errno == 0;
-    }
-
-    bool parse_value(FieldValue& out)
-    {
-        skip_ws();
-        if (eof()) return false;
-        if (peek() == '"') {
-            std::string s;
-            if (!parse_string(s)) return false;
-            out = std::move(s);
-            return true;
-        }
-        if (in.compare(pos, 4, "true") == 0) {
-            pos += 4;
-            out = true;
-            return true;
-        }
-        if (in.compare(pos, 5, "false") == 0) {
-            pos += 5;
-            out = false;
-            return true;
-        }
-        if (in.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            out = std::numeric_limits<double>::quiet_NaN();
-            return true;
-        }
-        if (peek() == '[') {
-            ++pos;
-            std::vector<double> arr;
-            skip_ws();
-            if (consume(']')) {
-                out = std::move(arr);
-                return true;
-            }
-            for (;;) {
-                FieldValue elem;
-                skip_ws();
-                if (in.compare(pos, 4, "null") == 0) {
-                    pos += 4;
-                    arr.push_back(std::numeric_limits<double>::quiet_NaN());
-                }
-                else {
-                    if (!parse_number(elem)) return false;
-                    if (const auto* d = std::get_if<double>(&elem)) arr.push_back(*d);
-                    else if (const auto* i = std::get_if<std::int64_t>(&elem))
-                        arr.push_back(static_cast<double>(*i));
-                    else arr.push_back(static_cast<double>(std::get<std::uint64_t>(elem)));
-                }
-                skip_ws();
-                if (consume(']')) break;
-                if (!consume(',')) return false;
-            }
-            out = std::move(arr);
-            return true;
-        }
-        return parse_number(out);
-    }
-};
+    const std::string_view token = json.text;
+    if (token.find_first_of(".eE") != std::string_view::npos)
+        return from_json_number(token, out.emplace<double>());
+    if (token.front() == '-') return from_json_number(token, out.emplace<std::int64_t>());
+    return from_json_number(token, out.emplace<std::uint64_t>());
+}
 
 }  // namespace
 
@@ -255,12 +92,12 @@ std::string to_jsonl(const TraceEvent& event)
     std::string out;
     out.reserve(64 + event.fields.size() * 16);
     out += "{\"type\":";
-    append_escaped(out, event.type);
+    append_json_string(out, event.type);
     out += ",\"t\":";
-    append_double(out, event.t);
+    append_json_double(out, event.t);
     for (const auto& [key, value] : event.fields) {
         out += ',';
-        append_escaped(out, key);
+        append_json_string(out, key);
         out += ':';
         append_value(out, value);
     }
@@ -270,42 +107,39 @@ std::string to_jsonl(const TraceEvent& event)
 
 std::optional<TraceEvent> parse_jsonl_line(std::string_view line)
 {
-    Parser p{line};
-    p.skip_ws();
-    if (!p.consume('{')) return std::nullopt;
+    return parse_jsonl_line(line, nullptr);
+}
+
+std::optional<TraceEvent> parse_jsonl_line(std::string_view line, JsonError* error)
+{
+    const auto reject = [error](JsonError why) -> std::optional<TraceEvent> {
+        if (error != nullptr) *error = std::move(why);
+        return std::nullopt;
+    };
+    FlatObject object = parse_flat_object(line);
+    if (object.error) return reject(std::move(*object.error));
 
     TraceEvent event{""};
     bool have_type = false;
-    bool first = true;
-    for (;;) {
-        p.skip_ws();
-        if (p.consume('}')) break;
-        if (!first && !p.consume(',')) return std::nullopt;
-        p.skip_ws();
-        first = false;
-        std::string key;
-        if (!p.parse_string(key)) return std::nullopt;
-        p.skip_ws();
-        if (!p.consume(':')) return std::nullopt;
+    for (auto& [key, json] : object.fields) {
         FieldValue value;
-        if (!p.parse_value(value)) return std::nullopt;
+        if (!field_value(json, value)) return reject({"number out of range", json.offset});
         if (key == "type") {
-            const auto* s = std::get_if<std::string>(&value);
-            if (s == nullptr) return std::nullopt;
-            event.type = *s;
+            auto* s = std::get_if<std::string>(&value);
+            if (s == nullptr) return reject({"\"type\" is not a string", json.offset});
+            event.type = std::move(*s);
             have_type = true;
         }
         else if (key == "t") {
             const auto* d = std::get_if<double>(&value);
-            if (d == nullptr) return std::nullopt;
+            if (d == nullptr) return reject({"\"t\" is not a double", json.offset});
             event.t = *d;
         }
         else {
             event.fields.emplace_back(std::move(key), std::move(value));
         }
     }
-    p.skip_ws();
-    if (!p.eof() || !have_type) return std::nullopt;
+    if (!have_type) return reject({"missing \"type\"", line.size()});
     return event;
 }
 

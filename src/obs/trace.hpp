@@ -29,6 +29,8 @@
 
 namespace nautilus::obs {
 
+struct JsonError;
+
 using FieldValue =
     std::variant<bool, std::int64_t, std::uint64_t, double, std::string, std::vector<double>>;
 
@@ -72,9 +74,11 @@ struct TraceEvent {
 // One JSON object on one line, no trailing newline.
 std::string to_jsonl(const TraceEvent& event);
 
-// Inverse of to_jsonl for the subset it emits (flat object, "type" and "t"
-// reserved keys).  Returns nullopt on malformed input.
+// Inverse of to_jsonl: one flat object read by obs/json's strict reader,
+// with "type" (a string, required) and "t" (a double) reserved.  Returns
+// nullopt on malformed input; the second form also says why and where.
 std::optional<TraceEvent> parse_jsonl_line(std::string_view line);
+std::optional<TraceEvent> parse_jsonl_line(std::string_view line, JsonError* error);
 
 // Receives serialized events.  Implementations must be safe to call from
 // several threads.

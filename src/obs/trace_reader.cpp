@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace nautilus::obs {
 
 TraceReader::TraceReader(std::string path) : path_(std::move(path)), in_(path_) {}
@@ -13,10 +15,12 @@ bool TraceReader::next()
         ++line_;
         if (text.empty()) continue;
         ++lines_;
-        event_ = parse_jsonl_line(text);
+        JsonError why;
+        event_ = parse_jsonl_line(text, &why);
         if (event_) return true;
         ++parse_errors_;
-        std::fprintf(stderr, "%s:%zu: unparseable trace line\n", path_.c_str(), line_);
+        std::fprintf(stderr, "%s:%zu: unparseable trace line: %s\n", path_.c_str(), line_,
+                     why.describe().c_str());
     }
     return false;
 }

@@ -4,7 +4,8 @@
 //
 // Blank lines are skipped.  A line parse_jsonl_line() rejects is never
 // dropped silently: it is reported on stderr as "PATH:LINE: unparseable
-// trace line" and counted, so each tool can refuse a corrupt trace.
+// trace line: REASON at byte N" (the reason from obs/json's reader) and
+// counted, so each tool can refuse a corrupt trace.
 
 #include <cstddef>
 #include <fstream>

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 
 namespace nautilus::serve {
 
@@ -40,9 +41,9 @@ obs::HttpResponse json_response(int status, std::string body)
 obs::HttpResponse error_response(int status, std::string_view message,
                                  std::string allow = {})
 {
-    std::string body = "{\"error\":\"";
-    body += json_escape(message);
-    body += "\"}\n";
+    std::string body = "{\"error\":";
+    obs::append_json_string(body, message);
+    body += "}\n";
     return {status, "application/json", std::move(body), std::move(allow)};
 }
 
@@ -343,9 +344,9 @@ std::string JobScheduler::status_json_locked(const Job& job) const
     std::string out = "{\"id\":" + std::to_string(job.id);
     out += ",\"state\":\"";
     out += job_state_name(job.state);
-    out += "\",\"engine\":\"";
-    out += json_escape(job.spec.engine);
-    out += "\",\"workers\":" + std::to_string(job.grant);
+    out += "\",\"engine\":";
+    obs::append_json_string(out, job.spec.engine);
+    out += ",\"workers\":" + std::to_string(job.grant);
     out += ",\"resumed\":";
     out += job.resumed ? "true" : "false";
     if (job.request_id != 0)
@@ -385,17 +386,16 @@ std::string JobScheduler::status_json_locked(const Job& job) const
             obs::append_json_double(out, r.best);
         }
         if (!r.best_genome.empty()) {
-            out += ",\"genome\":\"";
-            out += json_escape(r.best_genome);
-            out += "\"";
+            out += ",\"genome\":";
+            obs::append_json_string(out, r.best_genome);
         }
         if (job.spec.engine == "nsga2") {
             out += ",\"front\":[";
             for (std::size_t i = 0; i < r.front.size(); ++i) {
                 if (i != 0) out += ",";
-                out += "{\"genome\":\"";
-                out += json_escape(r.front[i].genome);
-                out += "\",\"values\":[";
+                out += "{\"genome\":";
+                obs::append_json_string(out, r.front[i].genome);
+                out += ",\"values\":[";
                 for (std::size_t k = 0; k < r.front[i].values.size(); ++k) {
                     if (k != 0) out += ",";
                     obs::append_json_double(out, r.front[i].values[k]);
@@ -417,9 +417,8 @@ std::string JobScheduler::status_json_locked(const Job& job) const
         out += resumable ? "true" : "false";
     }
     if (job.state == JobState::failed) {
-        out += ",\"error\":\"";
-        out += json_escape(job.error);
-        out += "\"";
+        out += ",\"error\":";
+        obs::append_json_string(out, job.error);
     }
     out += "}\n";
     return out;
@@ -447,9 +446,9 @@ std::string JobScheduler::list_json() const
         out += "{\"id\":" + std::to_string(id);
         out += ",\"state\":\"";
         out += job_state_name(job->state);
-        out += "\",\"engine\":\"";
-        out += json_escape(job->spec.engine);
-        out += "\",\"workers\":" + std::to_string(job->grant);
+        out += "\",\"engine\":";
+        obs::append_json_string(out, job->spec.engine);
+        out += ",\"workers\":" + std::to_string(job->grant);
         out += "}";
     }
     out += "]}\n";

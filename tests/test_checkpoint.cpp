@@ -181,6 +181,85 @@ TEST(Checkpoint, LoaderRejectsMissingFileVersionAndEngineMismatch)
     std::remove(path.c_str());
 }
 
+// `text` with the count token that follows `anchor` replaced by `count`.
+std::string with_count(std::string text, const std::string& anchor, const std::string& count)
+{
+    const auto at = text.find(anchor);
+    if (at == std::string::npos) ADD_FAILURE() << "no '" << anchor << "' in the checkpoint";
+    if (at == std::string::npos) return text;
+    const auto begin = at + anchor.size();
+    text.replace(begin, text.find_first_of(" \n", begin) - begin, count);
+    return text;
+}
+
+// Every element count is checked against the bytes left in the file before
+// anything is sized by it, so a corrupt count is a runtime_error naming the
+// file -- not std::length_error or std::bad_alloc.
+template <class Load>
+void expect_counts_rejected(const std::string& path, const std::string& original,
+                            const std::vector<std::string>& anchors, Load load)
+{
+    for (const std::string& anchor : anchors) {
+        for (const char* count : {"18446744073709551615", "100000000000", "4096"}) {
+            spit(path, with_count(original, anchor, count));
+            try {
+                load(path);
+                ADD_FAILURE() << "count " << count << " after '" << anchor << "' was accepted";
+            }
+            catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
+            }
+            catch (const std::exception& e) {
+                ADD_FAILURE() << "count " << count << " after '" << anchor
+                              << "' threw a non-runtime_error: " << e.what();
+            }
+        }
+    }
+    spit(path, original);
+    EXPECT_NO_THROW(load(path));
+}
+
+TEST(Checkpoint, GaLoaderRejectsCountsBeyondTheFile)
+{
+    const std::string path = temp_path("ga_counts");
+    GaCheckpoint cp = sample_ga_checkpoint();
+    cp.have_lineage = true;
+    cp.lineage.next_id = 9;
+    cp.lineage.last_improved = 8;
+    cp.lineage.slot_ids = {7, 8};
+    obs::BirthRecord rec;
+    rec.id = 8;
+    rec.op = obs::BirthOp::mutation;
+    rec.origins.assign(4, obs::GeneOrigin::bias);
+    cp.lineage.records = {rec};
+    save_checkpoint(path, cp);
+    expect_counts_rejected(path, slurp(path),
+                           {"\nhistory ", "\ncurve ", "\npopulation ", "\npopulation 2\n",
+                            "\ncache ", "\nquarantine ", "\nslots ", "\nbirths 9 8 "},
+                           [](const std::string& p) { load_ga_checkpoint(p); });
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, Nsga2LoaderRejectsCountsBeyondTheFile)
+{
+    const std::string path = temp_path("nsga2_counts");
+    Nsga2Checkpoint cp;
+    cp.objectives = 2;
+    cp.population = {Genome{std::vector<std::uint32_t>{1, 1, 1, 1}}};
+    cp.population_values = {{3.5, -0.125}};
+    cp.archive = {Genome{std::vector<std::uint32_t>{2, 2, 2, 2}}};
+    cp.archive_values = {{8.0, 0.1}};
+    cp.cache = {{Genome{std::vector<std::uint32_t>{1, 1, 1, 1}},
+                 std::vector<double>{3.5, -0.125}}};
+    cp.quarantine = {99u};
+    save_checkpoint(path, cp);
+    expect_counts_rejected(path, slurp(path),
+                           {"\npopulation ", "\npopulation 1\n", "\npopulation 1\n4 1 1 1 1 ",
+                            "\narchive ", "\ncache ", "\nquarantine "},
+                           [](const std::string& p) { load_nsga2_checkpoint(p); });
+    std::remove(path.c_str());
+}
+
 GaConfig golden_config(std::size_t workers)
 {
     GaConfig cfg;

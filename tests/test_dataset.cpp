@@ -198,6 +198,43 @@ TEST(Dataset, LoadCsvRejectsGarbage)
     EXPECT_THROW(Dataset::load_csv(truncated, gen), std::runtime_error);
 }
 
+// Every cell must be consumed whole by std::from_chars: trailing junk,
+// non-numbers and non-finite metrics are errors that name the row and cell.
+TEST(Dataset, LoadCsvRejectsBadCellsWithRowAndCell)
+{
+    const GridGenerator gen;
+    const std::string header = "x;y;feasible;area_luts;freq_mhz\n";
+    const struct {
+        const char* row;
+        const char* cell;
+    } cases[] = {
+        {"3x;1;1;31;102", "3x"},       {"abc;1;1;31;102", "abc"},
+        {"3;1;1;1.5abc;102", "1.5abc"}, {"3;1;1;nan;102", "nan"},
+        {"3;1;1;31;inf", "inf"},       {"3;1;1;31;-inf", "-inf"},
+        {"3; 1;1;31;102", " 1"},       {"-3;1;1;31;102", "-3"},
+        {"3;1;yes;31;102", "yes"},     {"3;1;1;31;1e999", "1e999"},
+    };
+    for (const auto& c : cases) {
+        std::stringstream in{header + "1;1;1;11;100\n" + c.row + "\n"};
+        try {
+            Dataset::load_csv(in, gen);
+            ADD_FAILURE() << "accepted row '" << c.row << "'";
+        }
+        catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string{e.what()},
+                      std::string{"Dataset::load_csv: row 3: bad cell '"} + c.cell + "'");
+        }
+        catch (const std::exception& e) {
+            ADD_FAILURE() << "row '" << c.row << "' threw a non-runtime_error: " << e.what();
+        }
+    }
+    // Empty metric cells still mean "not measured".
+    std::stringstream sparse{header + "3;1;0;;\n"};
+    const Dataset ds = Dataset::load_csv(sparse, gen);
+    ASSERT_EQ(ds.size(), 1u);
+    EXPECT_FALSE(ds.entry(0).values.try_get(Metric::area_luts).has_value());
+}
+
 TEST(Dataset, EntryOutOfRangeThrows)
 {
     const GridGenerator gen;

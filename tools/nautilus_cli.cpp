@@ -106,6 +106,7 @@
 #include "exp/experiment.hpp"
 #include "ip/analysis.hpp"
 #include "obs/http_server.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "serve/engine_factory.hpp"
 #include "serve/scheduler.hpp"
@@ -332,8 +333,11 @@ std::string spec_json_from_flags(const CliOptions& opt)
     json += opt.pareto_metric.empty() ? "ga" : "nsga2";
     json += "\"";
     const auto text = [&](const char* key, const std::string& value) {
-        if (!value.empty())
-            json += std::string{",\""} + key + "\":\"" + serve::json_escape(value) + "\"";
+        if (value.empty()) return;
+        json += ",\"";
+        json += key;
+        json += "\":";
+        obs::append_json_string(json, value);
     };
     const auto number = [&](const char* key, std::uint64_t value) {
         json += std::string{",\""} + key + "\":" + std::to_string(value);
