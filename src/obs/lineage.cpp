@@ -16,6 +16,49 @@ constexpr const char* k_origin_names[k_gene_origin_count] = {
 constexpr const char* k_op_names[k_birth_op_count] = {
     "init", "resume", "elite", "mutation", "crossover"};
 
+// `births_at_start` is an input to summarize_lineage, and the survival and
+// improvement flags are set after a birth is emitted, so a reader replaying
+// birth events cannot re-derive those counters.
+constexpr LineageField k_summary_fields[] = {
+    {"births", &LineageSummary::births, true},
+    {"births_at_start", &LineageSummary::births_at_start, false},
+    {"roots", &LineageSummary::roots, true},
+    {"elites", &LineageSummary::elites, true},
+    {"mutation_births", &LineageSummary::mutation_births, true},
+    {"crossover_births", &LineageSummary::crossover_births, true},
+    {"survived", &LineageSummary::survived, false},
+    {"improved", &LineageSummary::improved, false},
+    {"genes_fresh", &LineageSummary::genes_fresh, true},
+    {"genes_inherited", &LineageSummary::genes_inherited, true},
+    {"genes_crossed", &LineageSummary::genes_crossed, true},
+    {"genes_uniform", &LineageSummary::genes_uniform, true},
+    {"genes_bias", &LineageSummary::genes_bias, true},
+    {"genes_target", &LineageSummary::genes_target, true},
+    {"genes_repair", &LineageSummary::genes_repair, true},
+    {"offspring_uniform", &LineageSummary::offspring_uniform, true},
+    {"offspring_bias", &LineageSummary::offspring_bias, true},
+    {"offspring_target", &LineageSummary::offspring_target, true},
+    {"survived_uniform", &LineageSummary::survived_uniform, false},
+    {"survived_bias", &LineageSummary::survived_bias, false},
+    {"survived_target", &LineageSummary::survived_target, false},
+    {"improved_uniform", &LineageSummary::improved_uniform, false},
+    {"improved_bias", &LineageSummary::improved_bias, false},
+    {"improved_target", &LineageSummary::improved_target, false},
+};
+
+// `winner` and `winner_count` are inputs to summarize_lineage, not results.
+constexpr LineageField k_winner_fields[] = {
+    {"winner", &LineageSummary::winner, false},
+    {"winner_count", &LineageSummary::winner_count, false},
+    {"winner_genes", &LineageSummary::winner_genes, true},
+    {"winner_fresh", &LineageSummary::winner_fresh, true},
+    {"winner_uniform", &LineageSummary::winner_uniform, true},
+    {"winner_bias", &LineageSummary::winner_bias, true},
+    {"winner_target", &LineageSummary::winner_target, true},
+    {"winner_repair", &LineageSummary::winner_repair, true},
+    {"winner_depth", &LineageSummary::winner_depth, true},
+};
+
 void append_json_uint(std::string& out, const char* key, std::uint64_t value)
 {
     out += '"';
@@ -25,48 +68,39 @@ void append_json_uint(std::string& out, const char* key, std::uint64_t value)
     out += ',';
 }
 
-// Flat summary fields shared by to_json(LineageCounters) below.  Emits a
-// trailing comma; callers finish the object themselves.
-void append_summary_json(std::string& out, const LineageSummary& s)
+// Visits the summary counters a writer emits, in order.
+template <typename Visit>
+void for_each_written_field(const LineageSummary& s, Visit visit)
 {
-    append_json_uint(out, "births", s.births);
-    append_json_uint(out, "births_at_start", s.births_at_start);
-    append_json_uint(out, "roots", s.roots);
-    append_json_uint(out, "elites", s.elites);
-    append_json_uint(out, "mutation_births", s.mutation_births);
-    append_json_uint(out, "crossover_births", s.crossover_births);
-    append_json_uint(out, "survived", s.survived);
-    append_json_uint(out, "improved", s.improved);
-    append_json_uint(out, "genes_fresh", s.genes_fresh);
-    append_json_uint(out, "genes_inherited", s.genes_inherited);
-    append_json_uint(out, "genes_crossed", s.genes_crossed);
-    append_json_uint(out, "genes_uniform", s.genes_uniform);
-    append_json_uint(out, "genes_bias", s.genes_bias);
-    append_json_uint(out, "genes_target", s.genes_target);
-    append_json_uint(out, "genes_repair", s.genes_repair);
-    append_json_uint(out, "offspring_uniform", s.offspring_uniform);
-    append_json_uint(out, "offspring_bias", s.offspring_bias);
-    append_json_uint(out, "offspring_target", s.offspring_target);
-    append_json_uint(out, "survived_uniform", s.survived_uniform);
-    append_json_uint(out, "survived_bias", s.survived_bias);
-    append_json_uint(out, "survived_target", s.survived_target);
-    append_json_uint(out, "improved_uniform", s.improved_uniform);
-    append_json_uint(out, "improved_bias", s.improved_bias);
-    append_json_uint(out, "improved_target", s.improved_target);
-    if (s.have_winner) {
-        append_json_uint(out, "winner", s.winner);
-        append_json_uint(out, "winner_count", s.winner_count);
-        append_json_uint(out, "winner_genes", s.winner_genes);
-        append_json_uint(out, "winner_fresh", s.winner_fresh);
-        append_json_uint(out, "winner_uniform", s.winner_uniform);
-        append_json_uint(out, "winner_bias", s.winner_bias);
-        append_json_uint(out, "winner_target", s.winner_target);
-        append_json_uint(out, "winner_repair", s.winner_repair);
-        append_json_uint(out, "winner_depth", s.winner_depth);
-    }
+    for (const LineageField& f : k_summary_fields) visit(f.name, s.*f.member);
+    if (s.have_winner)
+        for (const LineageField& f : k_winner_fields) visit(f.name, s.*f.member);
 }
 
 }  // namespace
+
+std::span<const LineageField> lineage_summary_fields()
+{
+    return k_summary_fields;
+}
+
+std::span<const LineageField> lineage_winner_fields()
+{
+    return k_winner_fields;
+}
+
+LineageSummary lineage_summary_from_event(const TraceEvent& event)
+{
+    LineageSummary s;
+    for (const LineageField& f : k_summary_fields)
+        s.*f.member = event.unsigned_int(f.name).value_or(0);
+    if (event.find("winner") != nullptr) {
+        s.have_winner = true;
+        for (const LineageField& f : k_winner_fields)
+            s.*f.member = event.unsigned_int(f.name).value_or(0);
+    }
+    return s;
+}
 
 char gene_origin_code(GeneOrigin origin)
 {
@@ -339,41 +373,9 @@ LineageSummary LineageRecorder::finish(std::span<const std::uint64_t> winners)
     if (tracer_ != nullptr) {
         TraceEvent event{"lineage_summary"};
         event.add("engine", engine_.c_str());
-        event.add("births", FieldValue{summary.births});
-        event.add("births_at_start", FieldValue{summary.births_at_start});
-        event.add("roots", FieldValue{summary.roots});
-        event.add("elites", FieldValue{summary.elites});
-        event.add("mutation_births", FieldValue{summary.mutation_births});
-        event.add("crossover_births", FieldValue{summary.crossover_births});
-        event.add("survived", FieldValue{summary.survived});
-        event.add("improved", FieldValue{summary.improved});
-        event.add("genes_fresh", FieldValue{summary.genes_fresh});
-        event.add("genes_inherited", FieldValue{summary.genes_inherited});
-        event.add("genes_crossed", FieldValue{summary.genes_crossed});
-        event.add("genes_uniform", FieldValue{summary.genes_uniform});
-        event.add("genes_bias", FieldValue{summary.genes_bias});
-        event.add("genes_target", FieldValue{summary.genes_target});
-        event.add("genes_repair", FieldValue{summary.genes_repair});
-        event.add("offspring_uniform", FieldValue{summary.offspring_uniform});
-        event.add("offspring_bias", FieldValue{summary.offspring_bias});
-        event.add("offspring_target", FieldValue{summary.offspring_target});
-        event.add("survived_uniform", FieldValue{summary.survived_uniform});
-        event.add("survived_bias", FieldValue{summary.survived_bias});
-        event.add("survived_target", FieldValue{summary.survived_target});
-        event.add("improved_uniform", FieldValue{summary.improved_uniform});
-        event.add("improved_bias", FieldValue{summary.improved_bias});
-        event.add("improved_target", FieldValue{summary.improved_target});
-        if (summary.have_winner) {
-            event.add("winner", FieldValue{summary.winner});
-            event.add("winner_count", FieldValue{summary.winner_count});
-            event.add("winner_genes", FieldValue{summary.winner_genes});
-            event.add("winner_fresh", FieldValue{summary.winner_fresh});
-            event.add("winner_uniform", FieldValue{summary.winner_uniform});
-            event.add("winner_bias", FieldValue{summary.winner_bias});
-            event.add("winner_target", FieldValue{summary.winner_target});
-            event.add("winner_repair", FieldValue{summary.winner_repair});
-            event.add("winner_depth", FieldValue{summary.winner_depth});
-        }
+        for_each_written_field(summary, [&](const char* name, std::uint64_t value) {
+            event.add(name, FieldValue{value});
+        });
         tracer_->emit(std::move(event));
     }
     if (tracker_ != nullptr) tracker_->on_run_finish(engine_, summary);
@@ -405,7 +407,9 @@ std::string to_json(const LineageCounters& counters)
         out += "{\"engine\":";
         append_json_string(out, counters.engine);
         out += ',';
-        append_summary_json(out, counters.last);
+        for_each_written_field(counters.last, [&](const char* name, std::uint64_t value) {
+            append_json_uint(out, name, value);
+        });
         out.back() = '}';  // replace the trailing comma
     }
     else {

@@ -126,6 +126,23 @@ struct LineageSummary {
     std::uint64_t winner_depth = 0;  // longest ancestry walk, in hops
 };
 
+// One LineageSummary counter and its wire name.  The two tables below list
+// every counter in emission order; the `lineage_summary` trace event, the
+// /lineage JSON and the trace reader all walk them, and the winner block is
+// written only when have_winner.
+struct LineageField {
+    const char* name;
+    std::uint64_t LineageSummary::*member;
+    bool replayed;  // summarize_lineage re-derives it from birth events alone
+};
+
+std::span<const LineageField> lineage_summary_fields();
+std::span<const LineageField> lineage_winner_fields();
+
+// Reads a `lineage_summary` event back; a missing counter reads as 0, and
+// the winner block is present when the event carries a "winner" field.
+LineageSummary lineage_summary_from_event(const TraceEvent& event);
+
 // Pure summary computation over a dense record table (records[i].id == i),
 // shared by the recorder and by tools that rebuild records from a trace.
 LineageSummary summarize_lineage(std::span<const BirthRecord> records,

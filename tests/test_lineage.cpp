@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,52 @@ TEST(LineageRecorder, MintsDenseRecordsEmitsEventsAndSummarizes)
     ASSERT_EQ(summaries.size(), 1u);
     EXPECT_EQ(summaries[0].string("engine").value_or(""), "ga");
     EXPECT_EQ(summaries[0].unsigned_int("births").value_or(0), 4u);
+}
+
+// The lineage_summary event is written and read through one field table:
+// every counter survives summary -> event -> JSONL -> summary, in table
+// order, and the winner block appears exactly when there is a winner.
+TEST(LineageSummaryFields, RoundTripThroughTheTraceEvent)
+{
+    for (const bool with_winner : {true, false}) {
+        auto sink = std::make_shared<MemorySink>();
+        const Tracer tracer{sink};
+        obs::LineageRecorder rec{&tracer, nullptr, "ga"};
+        const std::uint64_t a = rec.on_root(0, BirthOp::init, 3);
+        const std::uint64_t b = rec.on_root(0, BirthOp::init, 3);
+        const std::uint64_t child = rec.on_child(
+            a, b, /*crossed=*/true, 1,
+            {GeneOrigin::parent_a, GeneOrigin::target, GeneOrigin::uniform});
+        rec.on_elite(child, 2);
+        std::vector<std::uint64_t> winners;
+        if (with_winner) winners.push_back(child);
+        const obs::LineageSummary sent = rec.finish(winners);
+        ASSERT_EQ(sent.have_winner, with_winner);
+
+        const auto events = sink->events_of("lineage_summary");
+        ASSERT_EQ(events.size(), 1u);
+        std::vector<std::string> names;
+        for (const obs::LineageField& f : obs::lineage_summary_fields())
+            names.emplace_back(f.name);
+        if (with_winner)
+            for (const obs::LineageField& f : obs::lineage_winner_fields())
+                names.emplace_back(f.name);
+        std::vector<std::string> keys;
+        for (const auto& [key, value] : events[0].fields) keys.push_back(key);
+        ASSERT_FALSE(keys.empty());
+        EXPECT_EQ(keys.front(), "engine");
+        keys.erase(keys.begin());
+        EXPECT_EQ(keys, names);
+
+        const std::optional<TraceEvent> parsed = obs::parse_jsonl_line(obs::to_jsonl(events[0]));
+        ASSERT_TRUE(parsed.has_value());
+        const obs::LineageSummary back = obs::lineage_summary_from_event(*parsed);
+        EXPECT_EQ(back.have_winner, with_winner);
+        for (const obs::LineageField& f : obs::lineage_summary_fields())
+            EXPECT_EQ(back.*f.member, sent.*f.member) << f.name;
+        for (const obs::LineageField& f : obs::lineage_winner_fields())
+            EXPECT_EQ(back.*f.member, sent.*f.member) << f.name;
+    }
 }
 
 TEST(LineageRecorder, SnapshotRestoreRoundTrip)

@@ -1,0 +1,292 @@
+// obs::RunTraceModel: the one reading of a trace behind trace_inspect,
+// trace_diff and lineage_report.  Both committed goldens must read back
+// with no structural error and no accounting violation; hand-built event
+// sequences pin resume baselines, job_summary attachment, the NSGA-II
+// `born` check and every structural error the tools refuse.
+
+#include "obs/trace_model.hpp"
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "obs/trace_reader.hpp"
+
+namespace nautilus {
+namespace {
+
+using obs::RunTraceModel;
+using obs::TraceEvent;
+using obs::TraceViolation;
+
+std::vector<TraceEvent> golden_events(const std::string& name)
+{
+    obs::TraceReader reader{std::string{NAUTILUS_GOLDEN_DIR} + "/" + name};
+    std::vector<TraceEvent> events;
+    while (reader.next()) events.push_back(reader.event());
+    EXPECT_EQ(reader.parse_errors(), 0u);
+    return events;
+}
+
+// Feeds `events` as lines 1..N of a trace named t.jsonl.
+RunTraceModel feed(const std::vector<TraceEvent>& events)
+{
+    RunTraceModel model{"t.jsonl"};
+    std::size_t line = 0;
+    for (const TraceEvent& ev : events) model.add(ev, ++line);
+    model.finish();
+    return model;
+}
+
+std::vector<std::string> error_texts(const RunTraceModel& model)
+{
+    std::vector<std::string> out;
+    for (const obs::TraceError& e : model.errors) out.push_back(e.text);
+    return out;
+}
+
+std::vector<std::string> violation_texts(const RunTraceModel& model)
+{
+    std::vector<std::string> out;
+    for (const TraceViolation& v : model.check()) out.push_back(v.text);
+    return out;
+}
+
+TraceEvent run_start(const char* engine)
+{
+    return TraceEvent{"run_start"}.add("engine", engine);
+}
+
+TraceEvent wave(int size, int fresh)
+{
+    return TraceEvent{"eval_wave"}.add("size", size).add("fresh", fresh).add("hits",
+                                                                             size - fresh);
+}
+
+TraceEvent run_end(int distinct)
+{
+    return TraceEvent{"run_end"}
+        .add("distinct_evals", distinct)
+        .add("attempts", distinct)
+        .add("retries", 0);
+}
+
+TraceEvent birth(int id, int gen, const char* op, const char* origins)
+{
+    return TraceEvent{"birth"}.add("id", id).add("gen", gen).add("op", op).add("origins",
+                                                                              origins);
+}
+
+// ---- the committed goldens --------------------------------------------------
+
+TEST(TraceModelGolden, GaExperimentReadsBackConsistent)
+{
+    obs::TraceReader reader{std::string{NAUTILUS_GOLDEN_DIR} + "/ga_experiment.jsonl"};
+    ASSERT_TRUE(reader.is_open());
+    const RunTraceModel model = RunTraceModel::read(reader);
+    EXPECT_TRUE(model.errors.empty());
+    EXPECT_TRUE(model.check().empty());
+    EXPECT_EQ(model.unparseable, 0u);
+    EXPECT_EQ(model.events, model.lines);
+    ASSERT_EQ(model.runs.size(), 4u);
+    std::uint64_t births = 0;
+    for (const obs::RunTrace& run : model.runs) {
+        EXPECT_EQ(run.engine, "ga");
+        EXPECT_TRUE(run.terminated());
+        EXPECT_TRUE(run.dense());
+        EXPECT_FALSE(run.breeds.empty());
+        ASSERT_TRUE(run.lineage.has_value());
+        EXPECT_EQ(run.lineage->births, run.births.size());
+        EXPECT_EQ(run.distinct_in_trace(), run.fresh);
+        births += run.births.size();
+    }
+    EXPECT_EQ(model.counts.at("birth"), births);
+}
+
+TEST(TraceModelGolden, Nsga2ReadsBackConsistent)
+{
+    const RunTraceModel model = feed(golden_events("nsga2.jsonl"));
+    EXPECT_TRUE(model.errors.empty());
+    EXPECT_TRUE(model.check().empty());
+    ASSERT_EQ(model.runs.size(), 1u);
+    const obs::RunTrace& run = model.runs[0];
+    EXPECT_EQ(run.engine, "nsga2");
+    ASSERT_FALSE(run.generations.empty());
+    std::uint64_t born = 0;
+    for (const auto& [gen, draws] : run.generations) born += draws.born;
+    ASSERT_TRUE(run.lineage.has_value());
+    EXPECT_EQ(born, run.lineage->births - run.lineage->roots);
+}
+
+TEST(TraceModelGolden, TamperedLineageSummaryFailsTheReplay)
+{
+    std::vector<TraceEvent> events = golden_events("ga_experiment.jsonl");
+    for (TraceEvent& ev : events) {
+        if (ev.type != "lineage_summary") continue;
+        const std::uint64_t genes = ev.unsigned_int("genes_uniform").value_or(0);
+        for (auto& [key, value] : ev.fields)
+            if (key == "genes_uniform") value = genes + 1;
+        break;
+    }
+    const std::vector<TraceViolation> violations = feed(events).check();
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].run, 0u);
+    EXPECT_TRUE(violations[0].lineage);
+    EXPECT_NE(violations[0].text.find("lineage_summary genes_uniform"), std::string::npos)
+        << violations[0].text;
+}
+
+// ---- resume baselines -------------------------------------------------------
+
+TEST(TraceModel, ResumedRunChargesOnlyTheDelta)
+{
+    const RunTraceModel model = feed({
+        run_start("ga")
+            .add("resumed", obs::FieldValue{true})
+            .add("distinct_at_start", 67)
+            .add("attempts_at_start", 67)
+            .add("retries_at_start", 0),
+        wave(10, 6),
+        wave(10, 4),
+        run_end(77),
+    });
+    ASSERT_EQ(model.runs.size(), 1u);
+    const obs::RunTrace& run = model.runs[0];
+    EXPECT_TRUE(run.resumed);
+    EXPECT_EQ(run.distinct_in_trace(), 10u);
+    EXPECT_TRUE(model.errors.empty());
+    EXPECT_TRUE(model.check().empty());
+
+    // Charging the restored evaluations again breaks the accounting.
+    const RunTraceModel wrong = feed({
+        run_start("ga").add("resumed", obs::FieldValue{true}).add("distinct_at_start", 67),
+        wave(10, 10),
+        TraceEvent{"run_end"}.add("distinct_evals", 87),
+    });
+    EXPECT_EQ(violation_texts(wrong),
+              std::vector<std::string>{
+                  "summed wave fresh 10 != run distinct_evals 87 - distinct_at_start 67"});
+}
+
+TEST(TraceModel, UnterminatedResumedRunNeverReportsAWrappedCount)
+{
+    const RunTraceModel model = feed({
+        run_start("ga").add("resumed", obs::FieldValue{true}).add("distinct_at_start", 67),
+        wave(10, 10),
+    });
+    ASSERT_EQ(model.runs.size(), 1u);
+    EXPECT_FALSE(model.runs[0].terminated());
+    EXPECT_EQ(model.runs[0].distinct_in_trace(), 0u);
+    EXPECT_EQ(error_texts(model),
+              std::vector<std::string>{"run 0 (ga, line 1): run_start without run_end"});
+    EXPECT_TRUE(model.check().empty());  // already a structural error
+}
+
+// ---- job_summary ------------------------------------------------------------
+
+TEST(TraceModel, JobSummaryAttachesToTheLastClosedRun)
+{
+    const TraceEvent job = TraceEvent{"job_summary"}
+                               .add("workers", 2)
+                               .add("distinct_evals", 5)
+                               .add("fresh_evals", 5)
+                               .add("store_hits", 0)
+                               .add("retries", 0);
+    const RunTraceModel model = feed({
+        run_start("ga").add("workers", 2), wave(4, 4), run_end(4),
+        run_start("ga").add("workers", 2), wave(5, 5), run_end(5),
+        job,
+    });
+    ASSERT_EQ(model.runs.size(), 2u);
+    EXPECT_FALSE(model.runs[0].job.has_value());
+    ASSERT_TRUE(model.runs[1].job.has_value());
+    EXPECT_EQ(model.runs[1].job->distinct_evals, 5u);
+    EXPECT_TRUE(model.errors.empty());
+    EXPECT_TRUE(model.check().empty());
+
+    TraceEvent drifted = job;
+    drifted.fields[1].second = std::uint64_t{4};  // distinct_evals
+    EXPECT_EQ(violation_texts(feed({run_start("ga").add("workers", 2), wave(5, 5),
+                                    run_end(5), drifted})),
+              std::vector<std::string>{"job_summary distinct_evals 4 != run 5"});
+
+    const RunTraceModel early = feed({run_start("ga"), job, wave(1, 1), run_end(1)});
+    EXPECT_EQ(error_texts(early),
+              std::vector<std::string>{"t.jsonl:2: job_summary without a completed run"});
+}
+
+// ---- lineage ----------------------------------------------------------------
+
+TEST(TraceModel, Nsga2BornMustMatchTheGenerationsBirths)
+{
+    std::vector<TraceEvent> events{
+        run_start("nsga2"),
+        birth(0, 0, "init", "ff"),
+        birth(1, 0, "init", "ff"),
+        birth(2, 0, "crossover", "ax").add("pa", 0).add("pb", 1),
+        TraceEvent{"generation"}.add("gen", 0).add("born", 2).add("uniform_draws", 0),
+        wave(3, 3),
+        run_end(3),
+    };
+    const std::vector<TraceViolation> violations = feed(events).check();
+    ASSERT_FALSE(violations.empty());
+    EXPECT_TRUE(violations[0].lineage);
+    EXPECT_EQ(violations[0].text, "births without a lineage_summary");
+    ASSERT_EQ(violations.size(), 2u);
+    EXPECT_EQ(violations[1].text, "gen births vs born 1 != expected 2");
+}
+
+TEST(TraceModel, NonDenseBirthIdIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        birth(0, 0, "init", "ff"),
+        birth(1, 0, "init", "ff"),
+        birth(3, 0, "init", "ff"),
+        wave(3, 3),
+        run_end(3),
+    });
+    EXPECT_EQ(error_texts(model),
+              std::vector<std::string>{"t.jsonl:4: birth id 3 breaks the dense sequence"});
+    EXPECT_EQ(model.errors[0].line, 4u);
+    EXPECT_FALSE(model.runs[0].dense());
+}
+
+TEST(TraceModel, CyclicParentIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        birth(0, 0, "init", "ff"),
+        birth(1, 1, "mutation", "au").add("pa", 1),
+        wave(2, 2),
+        run_end(2),
+    });
+    EXPECT_EQ(error_texts(model),
+              std::vector<std::string>{"t.jsonl:3: birth 1 has pa 1 >= its own id"});
+}
+
+TEST(TraceModel, EventsOutsideRunsAndBadBirthsAreStructuralErrors)
+{
+    const RunTraceModel model = feed({
+        birth(0, 0, "init", "ff"),
+        run_end(0),
+        run_start("ga"),
+        birth(0, 0, "clone", "ff"),
+        birth(1, 0, "init", "fz"),
+        wave(0, 0),
+        run_end(0),
+        TraceEvent{"checkpoint"},
+    });
+    EXPECT_EQ(error_texts(model), (std::vector<std::string>{
+                                      "t.jsonl:1: birth outside any run",
+                                      "t.jsonl:2: run_end without run_start",
+                                      "t.jsonl:4: birth with unknown op 'clone'",
+                                      "t.jsonl:5: birth with bad origin codes 'fz'",
+                                      "t.jsonl:8: checkpoint outside any run",
+                                  }));
+    EXPECT_TRUE(model.runs[0].births.empty());
+}
+
+}  // namespace
+}  // namespace nautilus

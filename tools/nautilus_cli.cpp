@@ -90,7 +90,6 @@
 
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -110,6 +109,8 @@
 #include "obs/obs.hpp"
 #include "serve/engine_factory.hpp"
 #include "serve/scheduler.hpp"
+
+#include "flags.hpp"
 
 using namespace nautilus;
 using ip::Metric;
@@ -190,56 +191,19 @@ struct CliOptions {
     std::exit(2);
 }
 
-// Numeric flag parsing.  std::stoul/std::stod throw on garbage and silently
-// accept partial matches ("--seed 1e99" parses as 1); either way the user
-// typed something that is not the number they meant.  These helpers demand
-// that the whole token parse, and on failure print the offending flag plus
-// the usage text and exit 2 instead of letting the exception escape to
-// std::terminate.
-std::uint64_t parse_u64(const char* argv0, const std::string& flag, const char* text)
-{
-    try {
-        const std::string s{text};
-        if (!s.empty() && s[0] != '-' && s[0] != '+') {
-            std::size_t pos = 0;
-            const unsigned long long v = std::stoull(s, &pos);
-            if (pos == s.size()) return static_cast<std::uint64_t>(v);
-        }
-    }
-    catch (const std::exception&) {
-    }
-    std::fprintf(stderr, "invalid value '%s' for %s (expected a non-negative integer)\n",
-                 text, flag.c_str());
-    usage(argv0);
-}
-
-double parse_number(const char* argv0, const std::string& flag, const char* text)
-{
-    try {
-        const std::string s{text};
-        std::size_t pos = 0;
-        const double v = std::stod(s, &pos);
-        if (pos == s.size() && std::isfinite(v)) return v;
-    }
-    catch (const std::exception&) {
-    }
-    std::fprintf(stderr, "invalid value '%s' for %s (expected a finite number)\n", text,
-                 flag.c_str());
-    usage(argv0);
-}
-
 CliOptions parse(int argc, char** argv)
 {
     CliOptions opt;
+    const nautilus::tools::FlagParser flags{argv[0], usage};
     auto need_value = [&](int& i) -> const char* {
         if (i + 1 >= argc) usage(argv[0]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto u64 = [&](int& j) { return parse_u64(argv[0], arg, need_value(j)); };
+        const auto u64 = [&](int& j) { return flags.u64(arg, need_value(j)); };
         const auto count = [&](int& j) { return static_cast<std::size_t>(u64(j)); };
-        const auto number = [&](int& j) { return parse_number(argv[0], arg, need_value(j)); };
+        const auto number = [&](int& j) { return flags.number(arg, need_value(j)); };
         const auto port = [&](int& j) {
             const std::uint64_t p = u64(j);
             if (p > 65535) {
@@ -271,7 +235,7 @@ CliOptions parse(int argc, char** argv)
             // Optional numeric value: `--progress 2` or bare `--progress`.
             opt.progress_interval = 5.0;
             if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(argv[i + 1][0])))
-                opt.progress_interval = parse_number(argv[0], arg, argv[++i]);
+                opt.progress_interval = flags.number(arg, argv[++i]);
         }
         else if (arg == "--store") opt.store = need_value(i);
         else if (arg == "--store-max-bytes") opt.store_max_bytes = u64(i);

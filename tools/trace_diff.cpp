@@ -35,123 +35,74 @@
 //                               evaluations from the store (default 99)
 //     --min-store-hit-rate P    override the hit-rate floor
 //
-// Exit status: 0 all gates pass, 1 gate failure or an unreadable, empty or
-// corrupt trace (any unparseable line), 2 bad usage.
+// Both traces are read into an obs::RunTraceModel.  A trace with an
+// unparseable line or a structural error (an event outside any run, a run
+// that never ends, a broken birth sequence) could hide exactly the event a
+// gate needs, so it fails the diff instead of being compared partially.
+//
+// Exit status: 0 all gates pass, 1 gate failure or an unreadable, empty,
+// corrupt or structurally broken trace, 2 bad usage.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "obs/trace.hpp"
+#include "obs/trace_model.hpp"
 #include "obs/trace_reader.hpp"
 
-using nautilus::obs::TraceEvent;
+#include "flags.hpp"
+
+using nautilus::obs::RunTrace;
+using nautilus::obs::RunTraceModel;
 
 namespace {
 
-struct RunSummary {
-    std::string engine;
-    std::uint64_t waves = 0;
-    std::uint64_t items = 0;
-    std::uint64_t fresh = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t distinct_at_start = 0;
-    std::uint64_t distinct_evals = 0;
-    std::uint64_t total_calls = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t store_hits = 0;
-    std::uint64_t store_misses = 0;
-    double eval_seconds = 0.0;
-    std::optional<double> best;
-};
+// Distinct (fresh) evaluations charged in the trace, and the evaluation
+// wall-clock they took.
+struct Throughput {
+    std::uint64_t distinct = 0;
+    double seconds = 0.0;
 
-struct TraceSummary {
-    std::size_t events = 0;
-    std::vector<RunSummary> runs;
-    std::map<std::string, double> span_seconds;  // by span name
-
-    std::uint64_t distinct() const
+    explicit Throughput(const RunTraceModel& model)
     {
-        std::uint64_t n = 0;
-        for (const RunSummary& r : runs) n += r.distinct_evals - r.distinct_at_start;
-        return n;
+        for (const RunTrace& run : model.runs) {
+            distinct += run.distinct_in_trace();
+            seconds += run.wave_seconds;
+        }
     }
-    double eval_seconds() const
+    double per_second() const
     {
-        double s = 0.0;
-        for (const RunSummary& r : runs) s += r.eval_seconds;
-        return s;
-    }
-    // Distinct (fresh) evaluations per second of evaluation wall-clock.
-    double throughput() const
-    {
-        const double s = eval_seconds();
-        return s > 0.0 ? static_cast<double>(distinct()) / s : 0.0;
+        return seconds > 0.0 ? static_cast<double>(distinct) / seconds : 0.0;
     }
 };
 
-std::optional<TraceSummary> load(const std::string& path)
+std::optional<RunTraceModel> load(const std::string& path)
 {
     nautilus::obs::TraceReader reader{path};
     if (!reader.is_open()) {
         std::fprintf(stderr, "trace_diff: cannot read %s\n", path.c_str());
         return std::nullopt;
     }
-    TraceSummary sum;
-    std::optional<std::size_t> open_run;
-    while (reader.next()) {
-        const TraceEvent& ev = reader.event();
-        ++sum.events;
-        if (ev.type == "run_start") {
-            RunSummary run;
-            run.engine = ev.string("engine").value_or("?");
-            run.distinct_at_start = ev.unsigned_int("distinct_at_start").value_or(0);
-            sum.runs.push_back(std::move(run));
-            open_run = sum.runs.size() - 1;
-        }
-        else if (ev.type == "eval_wave" && open_run) {
-            RunSummary& run = sum.runs[*open_run];
-            ++run.waves;
-            run.items += ev.unsigned_int("size").value_or(0);
-            run.fresh += ev.unsigned_int("fresh").value_or(0);
-            run.hits += ev.unsigned_int("hits").value_or(0);
-            run.eval_seconds += ev.number("seconds").value_or(0.0);
-        }
-        else if (ev.type == "run_end" && open_run) {
-            RunSummary& run = sum.runs[*open_run];
-            run.distinct_evals = ev.unsigned_int("distinct_evals").value_or(0);
-            run.total_calls = ev.unsigned_int("total_calls").value_or(0);
-            run.retries = ev.unsigned_int("retries").value_or(0);
-            run.store_hits = ev.unsigned_int("store_hits").value_or(0);
-            run.store_misses = ev.unsigned_int("store_misses").value_or(0);
-            bool feasible = false;
-            if (const nautilus::obs::FieldValue* f = ev.find("feasible"))
-                if (const bool* b = std::get_if<bool>(f)) feasible = *b;
-            if (feasible) run.best = ev.number("best");
-            open_run.reset();
-        }
-        else if (ev.type == "span") {
-            sum.span_seconds[ev.string("name").value_or("?")] +=
-                ev.number("seconds").value_or(0.0);
-        }
-    }
-    // A corrupt line could hide exactly the event a gate needs, so an
-    // unparseable input fails the diff instead of being compared partially.
-    if (reader.parse_errors() > 0) {
+    RunTraceModel model = RunTraceModel::read(reader);
+    if (model.unparseable > 0) {
         std::fprintf(stderr, "trace_diff: %s has %zu unparseable line(s)\n", path.c_str(),
-                     reader.parse_errors());
+                     model.unparseable);
         return std::nullopt;
     }
-    if (sum.events == 0) {
+    if (!model.errors.empty()) {
+        for (const nautilus::obs::TraceError& e : model.errors)
+            std::fprintf(stderr, "%s\n", e.text.c_str());
+        std::fprintf(stderr, "trace_diff: %s has %zu structural error(s)\n", path.c_str(),
+                     model.errors.size());
+        return std::nullopt;
+    }
+    if (model.events == 0) {
         std::fprintf(stderr, "trace_diff: %s holds no events\n", path.c_str());
         return std::nullopt;
     }
-    return sum;
+    return model;
 }
 
 const char* usage_text()
@@ -174,40 +125,6 @@ const char* usage_text()
     std::exit(0);
 }
 
-// Numeric flag parsing: the whole token must parse and the value must be
-// sane, otherwise report the offending flag and exit 2 (usage) instead of
-// letting std::stod/std::stoull throw through main.
-double parse_number(const char* argv0, const std::string& flag, const char* text)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(text, &used);
-        if (used == std::strlen(text) && std::isfinite(v)) return v;
-    }
-    catch (...) {
-    }
-    std::fprintf(stderr, "trace_diff: invalid value '%s' for %s (expected a finite number)\n",
-                 text, flag.c_str());
-    usage(argv0);
-}
-
-std::uint64_t parse_u64(const char* argv0, const std::string& flag, const char* text)
-{
-    try {
-        if (text[0] != '-' && text[0] != '+') {
-            std::size_t used = 0;
-            const unsigned long long v = std::stoull(text, &used);
-            if (used == std::strlen(text)) return v;
-        }
-    }
-    catch (...) {
-    }
-    std::fprintf(stderr,
-                 "trace_diff: invalid value '%s' for %s (expected a non-negative integer)\n",
-                 text, flag.c_str());
-    usage(argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv)
@@ -220,16 +137,16 @@ int main(int argc, char** argv)
     double max_phase_slowdown = 0.0;   // percent; 0 = timing gate disabled
     bool store_check = false;
     double min_store_hit_rate = 99.0;  // percent, only gates with --store-check
+    const nautilus::tools::FlagParser flags{argv[0], usage, "trace_diff: "};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto need_value = [&]() -> const char* {
             if (i + 1 >= argc) usage(argv[0]);
             return argv[++i];
         };
-        auto number = [&] { return parse_number(argv[0], arg, need_value()); };
+        auto number = [&] { return flags.number(arg, need_value()); };
         if (arg == "--allow-best-delta") allow_best_delta = number();
-        else if (arg == "--allow-count-delta")
-            allow_count_delta = parse_u64(argv[0], arg, need_value());
+        else if (arg == "--allow-count-delta") allow_count_delta = flags.u64(arg, need_value());
         else if (arg == "--no-counters") counters = false;
         else if (arg == "--max-throughput-drop") max_throughput_drop = number();
         else if (arg == "--max-phase-slowdown") max_phase_slowdown = number();
@@ -244,9 +161,11 @@ int main(int argc, char** argv)
     }
     if (paths.size() != 2) usage(argv[0]);
 
-    const std::optional<TraceSummary> base = load(paths[0]);
-    const std::optional<TraceSummary> cand = load(paths[1]);
+    const std::optional<RunTraceModel> base = load(paths[0]);
+    const std::optional<RunTraceModel> cand = load(paths[1]);
     if (!base || !cand) return 1;
+    const Throughput base_tp{*base};
+    const Throughput cand_tp{*cand};
 
     std::size_t failures = 0;
     const auto fail = [&](const char* fmt, auto... args) {
@@ -271,12 +190,11 @@ int main(int argc, char** argv)
     std::printf("  %-26s %14zu %14zu\n", "runs", base->runs.size(),
                 cand->runs.size());
     std::printf("  %-26s %14llu %14llu\n", "distinct evals",
-                static_cast<unsigned long long>(base->distinct()),
-                static_cast<unsigned long long>(cand->distinct()));
-    std::printf("  %-26s %14.4f %14.4f\n", "eval seconds", base->eval_seconds(),
-                cand->eval_seconds());
-    std::printf("  %-26s %14.1f %14.1f\n", "evals/s", base->throughput(),
-                cand->throughput());
+                static_cast<unsigned long long>(base_tp.distinct),
+                static_cast<unsigned long long>(cand_tp.distinct));
+    std::printf("  %-26s %14.4f %14.4f\n", "eval seconds", base_tp.seconds, cand_tp.seconds);
+    std::printf("  %-26s %14.1f %14.1f\n", "evals/s", base_tp.per_second(),
+                cand_tp.per_second());
 
     if (counters) {
         if (base->runs.size() != cand->runs.size())
@@ -284,16 +202,15 @@ int main(int argc, char** argv)
                  cand->runs.size());
         const std::size_t n = std::min(base->runs.size(), cand->runs.size());
         for (std::size_t i = 0; i < n; ++i) {
-            const RunSummary& b = base->runs[i];
-            const RunSummary& c = cand->runs[i];
+            const RunTrace& b = base->runs[i];
+            const RunTrace& c = cand->runs[i];
             if (b.engine != c.engine)
                 fail("run %zu engine: base '%s', candidate '%s'", i, b.engine.c_str(),
                      c.engine.c_str());
-            check_count("distinct evals", i, b.distinct_evals - b.distinct_at_start,
-                        c.distinct_evals - c.distinct_at_start);
-            check_count("total calls", i, b.total_calls, c.total_calls);
+            check_count("distinct evals", i, b.distinct_in_trace(), c.distinct_in_trace());
+            check_count("total calls", i, b.total_calls.value_or(0), c.total_calls.value_or(0));
             check_count("cache hits", i, b.hits, c.hits);
-            check_count("retries", i, b.retries, c.retries);
+            check_count("retries", i, b.retries.value_or(0), c.retries.value_or(0));
             if (b.best.has_value() != c.best.has_value())
                 fail("run %zu feasibility: base %s, candidate %s", i,
                      b.best ? "feasible" : "infeasible",
@@ -304,28 +221,29 @@ int main(int argc, char** argv)
         }
     }
 
-    if (max_throughput_drop > 0.0 && base->throughput() > 0.0) {
-        const double floor = base->throughput() * (1.0 - max_throughput_drop / 100.0);
-        if (cand->throughput() < floor)
+    if (max_throughput_drop > 0.0 && base_tp.per_second() > 0.0) {
+        const double floor = base_tp.per_second() * (1.0 - max_throughput_drop / 100.0);
+        if (cand_tp.per_second() < floor)
             fail("throughput: candidate %.1f evals/s < %.1f (base %.1f - %.1f%%)",
-                 cand->throughput(), floor, base->throughput(), max_throughput_drop);
+                 cand_tp.per_second(), floor, base_tp.per_second(), max_throughput_drop);
     }
     if (max_phase_slowdown > 0.0) {
-        for (const auto& [name, b_seconds] : base->span_seconds) {
+        for (const auto& [name, b_span] : base->spans) {
+            const double b_seconds = b_span.seconds;
             if (b_seconds < 0.010) continue;  // below timing noise
-            const auto it = cand->span_seconds.find(name);
-            if (it == cand->span_seconds.end()) continue;
+            const auto it = cand->spans.find(name);
+            if (it == cand->spans.end()) continue;
             const double cap = b_seconds * (1.0 + max_phase_slowdown / 100.0);
-            if (it->second > cap)
+            if (it->second.seconds > cap)
                 fail("phase %s: candidate %.4f s > %.4f s (base %.4f s + %.1f%%)",
-                     name.c_str(), it->second, cap, b_seconds, max_phase_slowdown);
+                     name.c_str(), it->second.seconds, cap, b_seconds, max_phase_slowdown);
         }
     }
 
     if (store_check) {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        for (const RunSummary& r : cand->runs) {
+        for (const RunTrace& r : cand->runs) {
             hits += r.store_hits;
             misses += r.store_misses;
         }
