@@ -312,12 +312,14 @@ double median_seconds(F&& f, int reps)
     return samples[1];
 }
 
+constexpr std::size_t kObsGaGenerations = 80;
+
 // Median-of-3 wall time for `reps` GA runs under the given instrumentation.
 double time_ga_runs(const obs::Instrumentation& inst, int reps)
 {
     const auto space = bench_space();
     GaConfig cfg;
-    cfg.generations = 80;
+    cfg.generations = kObsGaGenerations;
     cfg.obs = inst;
     const GaEngine engine{space, cfg, Direction::maximize, sum_genes, HintSet::none(space)};
     int run = 0;  // every sample replays seeds 1..reps
@@ -406,6 +408,7 @@ int write_obs_bench(const std::string& path)
                   "{\n"
                   "  \"schema\": \"nautilus-bench-obs/1\",\n"
                   "  \"ga_runs\": %d,\n"
+                  "  \"ga_generations\": %zu,\n"
                   "  \"ga_plain_seconds\": %.6f,\n"
                   "  \"ga_traced_seconds\": %.6f,\n"
                   "  \"ga_progress_seconds\": %.6f,\n"
@@ -422,7 +425,7 @@ int write_obs_bench(const std::string& path)
                   "  \"prometheus_exposition_us\": %.2f,\n"
                   "  \"status_json_us\": %.2f\n"
                   "}\n",
-                  kReps, plain, traced_time, progress_time, lineage_time, logged_time,
+                  kReps, kObsGaGenerations, plain, traced_time, progress_time, lineage_time, logged_time,
                   (traced_time / plain - 1.0) * 100.0,
                   (progress_time / plain - 1.0) * 100.0,
                   (lineage_time / plain - 1.0) * 100.0,

@@ -189,6 +189,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
             ids.reserve(population.size());
             for (std::size_t i = 0; i < population.size(); ++i)
                 ids.push_back(lineage->on_root(start_gen, root_op, space_.size()));
+            lineage->flush();
         }
     }
 
@@ -353,6 +354,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
                                                      c.crossed, gen,
                                                      std::move(c.origins)));
             ids.swap(next_ids);
+            lineage->flush();
         }
         if (tracer.enabled()) {
             const MutationStats& mut_stats = breed_stats.mutation;

@@ -128,16 +128,20 @@ Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
 
     // Start from a feasible random point (bounded retries).
     Genome current = Genome::random(space_, rng);
-    if (lineage.has_value())
+    if (lineage.has_value()) {
         current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
+        lineage->flush();
+    }
     Evaluation current_eval = pipeline.evaluate(current);
     for (int tries = 0;
          !current_eval.feasible && tries < 200 &&
          pipeline.distinct() < config_.max_distinct_evals;
          ++tries) {
         current = Genome::random(space_, rng);
-        if (lineage.has_value())
+        if (lineage.has_value()) {
             current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
+            lineage->flush();
+        }
         current_eval = pipeline.evaluate(current);
     }
     if (!current_eval.feasible) {
@@ -172,6 +176,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
                                              prop_origins);
             probes.push_back(probe);
         }
+        if (lineage.has_value()) lineage->flush();
         std::vector<Evaluation> probe_evals(probes.size());
         pipeline.evaluate_wave(probes, probe_evals);
         for (const Evaluation& e : probe_evals)
@@ -185,9 +190,11 @@ Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
         const Genome candidate = propose(
             current, ctx, rng, lineage.has_value() ? prop_origins.data() : nullptr);
         std::uint64_t cand_id = obs::k_no_parent;
-        if (lineage.has_value())
+        if (lineage.has_value()) {
             cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
                                         prop_origins);
+            lineage->flush();
+        }
         const Evaluation cand_eval = pipeline.evaluate(candidate);
         const double delta = mapper.fitness(cand_eval) - mapper.fitness(current_eval);
         const bool accept =
@@ -296,8 +303,10 @@ Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
     bool have_best = false;
 
     Genome current = Genome::random(space_, rng);
-    if (lineage.has_value())
+    if (lineage.has_value()) {
         current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
+        lineage->flush();
+    }
     Evaluation current_eval = pipeline.evaluate(current);
     std::size_t stale = 0;
     std::size_t step = 0;
@@ -320,8 +329,10 @@ Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
         ++step;
         if (stale >= config_.patience || !current_eval.feasible) {
             current = Genome::random(space_, rng);
-            if (lineage.has_value())
+            if (lineage.has_value()) {
                 current_id = lineage->on_root(step, obs::BirthOp::init, space_.size());
+                lineage->flush();
+            }
             current_eval = pipeline.evaluate(current);
             note(current_eval, current_id);
             stale = 0;
@@ -330,9 +341,11 @@ Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
         const Genome candidate = propose(
             current, ctx, rng, lineage.has_value() ? prop_origins.data() : nullptr);
         std::uint64_t cand_id = obs::k_no_parent;
-        if (lineage.has_value())
+        if (lineage.has_value()) {
             cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
                                         prop_origins);
+            lineage->flush();
+        }
         const Evaluation cand_eval = pipeline.evaluate(candidate);
         if (cand_eval.feasible &&
             no_worse(cand_eval.value, current_eval.value, direction_)) {

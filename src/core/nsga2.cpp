@@ -233,6 +233,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             for (std::size_t i = 0; i < archive.size(); ++i)
                 archive_ids.push_back(
                     lineage->on_root(start_gen, obs::BirthOp::resume, space_.size()));
+            lineage->flush();
         }
     }
 
@@ -310,6 +311,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                     pop_ids.push_back(
                         lineage->on_root(0, obs::BirthOp::init, space_.size()));
             }
+            if (lineage.has_value()) lineage->flush();
         }
         if (population.size() < 4) return finish({});
         for (const Member& m : population) archive.push_back(m);
@@ -416,6 +418,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 brood.push_back(std::move(child_a));
                 brood.push_back(std::move(child_b));
             }
+            if (lineage.has_value()) lineage->flush();
             born += brood.size();
             wave_values.assign(brood.size(), MultiValue{});
             pipeline.evaluate_wave(brood, wave_values);

@@ -20,7 +20,7 @@ bool valid_name_char(char c, bool first)
     return !first && c >= '0' && c <= '9';
 }
 
-// Prometheus sample values: the shared %.17g round-trip rendering
+// Prometheus sample values: the shared shortest round-trip rendering
 // (obs/format.hpp), so a scraped gauge equals the trace/JSON value
 // bit-for-bit.  Non-finite values keep their Prometheus spellings.
 std::string format_value(double v)
@@ -28,7 +28,7 @@ std::string format_value(double v)
     if (std::isnan(v)) return "NaN";
     if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
     std::string out;
-    append_double_17g(out, v);
+    append_double(out, v);
     return out;
 }
 

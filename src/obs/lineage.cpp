@@ -1,6 +1,7 @@
 #include "obs/lineage.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -164,6 +165,22 @@ bool birth_op_from_name(std::string_view name, BirthOp& out)
     return false;
 }
 
+char birth_op_code(BirthOp op)
+{
+    return birth_op_name(op)[0];
+}
+
+bool birth_op_from_code(char code, BirthOp& out)
+{
+    for (std::size_t i = 0; i < k_birth_op_count; ++i) {
+        if (code == k_op_names[i][0]) {
+            out = static_cast<BirthOp>(i);
+            return true;
+        }
+    }
+    return false;
+}
+
 LineageSummary summarize_lineage(std::span<const BirthRecord> records,
                                  std::span<const std::uint64_t> winners,
                                  std::uint64_t births_at_start)
@@ -269,6 +286,7 @@ LineageRecorder::LineageRecorder(const Tracer* tracer,
 
 BirthRecord& LineageRecorder::mint(BirthOp op, std::uint64_t generation)
 {
+    if (unflushed_ < records_.size() && records_.back().generation != generation) flush();
     BirthRecord& rec = records_.emplace_back();
     rec.id = next_id_++;
     rec.generation = generation;
@@ -282,7 +300,7 @@ std::uint64_t LineageRecorder::on_root(std::uint64_t generation,
 {
     BirthRecord& rec = mint(op, generation);
     rec.origins.assign(genes, GeneOrigin::fresh);
-    emit_birth(rec);
+    if (tracker_ != nullptr) tracker_->on_birth(rec.op, rec.origins);
     return rec.id;
 }
 
@@ -290,7 +308,7 @@ std::uint64_t LineageRecorder::on_elite(std::uint64_t parent, std::uint64_t gene
 {
     BirthRecord& rec = mint(BirthOp::elite, generation);
     rec.parent_a = parent;
-    emit_birth(rec);
+    if (tracker_ != nullptr) tracker_->on_birth(rec.op, rec.origins);
     const std::uint64_t id = rec.id;  // on_survived may touch records_
     on_survived(parent);
     return id;
@@ -306,7 +324,7 @@ std::uint64_t LineageRecorder::on_child(std::uint64_t parent_a,
     rec.parent_a = parent_a;
     rec.parent_b = parent_b;
     rec.origins = std::move(origins);
-    emit_birth(rec);
+    if (tracker_ != nullptr) tracker_->on_birth(rec.op, rec.origins);
     return rec.id;
 }
 
@@ -347,27 +365,48 @@ LineageState LineageRecorder::snapshot(const std::vector<std::uint64_t>& slot_id
 void LineageRecorder::restore(const LineageState& state)
 {
     records_ = state.records;
+    unflushed_ = records_.size();  // traced by the run that minted them
     next_id_ = state.next_id;
     births_at_start_ = state.next_id;
     last_improved_ = state.last_improved;
 }
 
-void LineageRecorder::emit_birth(const BirthRecord& rec)
+void LineageRecorder::flush()
 {
-    if (tracker_ != nullptr) tracker_->on_birth(rec.op, rec.origins);
-    if (tracer_ == nullptr) return;
-    TraceEvent event{"birth"};
-    event.add("id", FieldValue{rec.id});
-    event.add("gen", FieldValue{rec.generation});
-    event.add("op", birth_op_name(rec.op));
-    if (rec.parent_a != k_no_parent) event.add("pa", FieldValue{rec.parent_a});
-    if (rec.parent_b != k_no_parent) event.add("pb", FieldValue{rec.parent_b});
-    event.add("origins", FieldValue{origin_codes(rec.origins)});
+    if (tracer_ == nullptr || unflushed_ == records_.size()) {
+        unflushed_ = records_.size();
+        return;
+    }
+    const std::span<const BirthRecord> births{records_.data() + unflushed_,
+                                              records_.size() - unflushed_};
+    constexpr double none = std::numeric_limits<double>::quiet_NaN();  // JSON null
+    std::string ops;
+    std::vector<double> pa, pb;
+    std::string origins;
+    ops.reserve(births.size());
+    pa.reserve(births.size());
+    pb.reserve(births.size());
+    for (const BirthRecord& rec : births) {
+        ops += birth_op_code(rec.op);
+        pa.push_back(rec.parent_a == k_no_parent ? none : static_cast<double>(rec.parent_a));
+        pb.push_back(rec.parent_b == k_no_parent ? none : static_cast<double>(rec.parent_b));
+        if (!origins.empty()) origins += ' ';
+        origins += origin_codes(rec.origins);
+    }
+    TraceEvent event{"births"};
+    event.add("gen", FieldValue{births.front().generation})
+        .add("first", FieldValue{births.front().id})
+        .add("ops", FieldValue{std::move(ops)})
+        .add("pa", FieldValue{std::move(pa)})
+        .add("pb", FieldValue{std::move(pb)})
+        .add("origins", FieldValue{std::move(origins)});
     tracer_->emit(std::move(event));
+    unflushed_ = records_.size();
 }
 
 LineageSummary LineageRecorder::finish(std::span<const std::uint64_t> winners)
 {
+    flush();
     for (const std::uint64_t w : winners) on_improved(w);
     const LineageSummary summary = summarize_lineage(records_, winners, births_at_start_);
     if (tracer_ != nullptr) {

@@ -63,6 +63,10 @@ inline constexpr std::size_t k_birth_op_count = 5;
 
 const char* birth_op_name(BirthOp op);
 bool birth_op_from_name(std::string_view name, BirthOp& out);
+// One-letter op code of the `births` record: the name's first letter,
+// 'i','r','e','m','c'.
+char birth_op_code(BirthOp op);
+bool birth_op_from_code(char code, BirthOp& out);
 
 inline constexpr std::uint64_t k_no_parent = ~std::uint64_t{0};
 
@@ -152,8 +156,14 @@ LineageSummary summarize_lineage(std::span<const BirthRecord> records,
 class LineageTracker;
 
 // Per-run recorder.  Single-threaded: engines mint births from the search
-// loop only.  `tracer` (nullable) receives birth/lineage_summary events;
+// loop only.  `tracer` (nullable) receives births/lineage_summary events;
 // `tracker` (nullable) is fed live counters for the /lineage endpoint.
+//
+// Births are buffered and written as one columnar `births` record per
+// flush() (DESIGN.md section 7): engines flush once per wave of births,
+// where the births must appear in the trace relative to the other events.
+// A record holds births of one generation, so minting a birth of another
+// generation flushes the buffer first; finish() flushes what is left.
 class LineageRecorder {
 public:
     LineageRecorder(const Tracer* tracer, LineageTracker* tracker, std::string engine);
@@ -170,6 +180,9 @@ public:
                            std::vector<GeneOrigin> origins);
     void on_survived(std::uint64_t id);
     void on_improved(std::uint64_t id);
+    // Emit the births minted since the last flush as one `births` record;
+    // a no-op when there are none or tracing is off.
+    void flush();
 
     std::uint64_t births() const { return next_id_; }
     std::uint64_t births_at_start() const { return births_at_start_; }
@@ -186,7 +199,6 @@ public:
 
 private:
     BirthRecord& mint(BirthOp op, std::uint64_t generation);
-    void emit_birth(const BirthRecord& rec);
 
     const Tracer* tracer_;
     LineageTracker* tracker_;
@@ -195,6 +207,7 @@ private:
     std::uint64_t births_at_start_ = 0;
     std::uint64_t last_improved_ = k_no_parent;
     std::vector<BirthRecord> records_;
+    std::size_t unflushed_ = 0;  // records_[unflushed_..] are not yet traced
 };
 
 // Cumulative cross-run lineage counters served by /lineage and /metrics.

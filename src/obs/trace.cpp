@@ -1,5 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -23,7 +26,7 @@ void append_value(std::string& out, const FieldValue& value)
         out += '[';
         for (std::size_t i = 0; i < vec.size(); ++i) {
             if (i > 0) out += ',';
-            append_json_double(out, vec[i]);
+            append_json_element(out, vec[i]);
         }
         out += ']';
         break;
@@ -143,27 +146,47 @@ std::optional<TraceEvent> parse_jsonl_line(std::string_view line, JsonError* err
     return event;
 }
 
-JsonlFileSink::JsonlFileSink(const std::string& path) : out_(path, std::ios::trunc)
+JsonlFileSink::JsonlFileSink(const std::string& path) : path_(path), out_(path, std::ios::trunc)
 {
     if (!out_) throw std::runtime_error("JsonlFileSink: cannot open '" + path + "'");
 }
 
 JsonlFileSink::~JsonlFileSink()
 {
-    flush();
+    const bool reported = reported_;
+    try {
+        flush();
+    }
+    catch (const std::runtime_error& e) {
+        // A failure no flush() caller has seen is printed rather than lost.
+        if (!reported) std::fprintf(stderr, "%s\n", e.what());
+    }
+}
+
+void JsonlFileSink::note_failure()
+{
+    if (!failure_.empty()) return;
+    failure_ = errno != 0 ? std::strerror(errno) : "stream error";
 }
 
 void JsonlFileSink::write(const TraceEvent& event)
 {
     const std::string line = to_jsonl(event);
     std::lock_guard lock{mutex_};
+    errno = 0;
     out_ << line << '\n';
+    if (!out_) note_failure();
 }
 
 void JsonlFileSink::flush()
 {
     std::lock_guard lock{mutex_};
+    errno = 0;
     out_.flush();
+    if (!out_) note_failure();
+    if (failure_.empty()) return;
+    reported_ = true;
+    throw std::runtime_error("JsonlFileSink: cannot write '" + path_ + "': " + failure_);
 }
 
 void MemorySink::write(const TraceEvent& event)

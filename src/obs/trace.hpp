@@ -100,7 +100,10 @@ private:
 };
 
 // Appends one JSONL line per event.  Throws std::runtime_error if the file
-// cannot be opened.
+// cannot be opened.  A failed write is kept, not lost: flush() throws
+// std::runtime_error naming the path and the first failure, and keeps
+// throwing on every later call.  The destructor flushes too, and prints a
+// failure to stderr unless a flush() call has already thrown it.
 class JsonlFileSink final : public TraceSink {
 public:
     explicit JsonlFileSink(const std::string& path);
@@ -110,8 +113,13 @@ public:
     void flush() override;
 
 private:
+    void note_failure();  // caller holds mutex_
+
     std::mutex mutex_;
+    std::string path_;
     std::ofstream out_;
+    std::string failure_;    // the first failed write, empty while none
+    bool reported_ = false;  // flush() has thrown failure_
 };
 
 // Keeps events in memory; for tests and in-process inspection.

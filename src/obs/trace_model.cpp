@@ -1,8 +1,11 @@
 #include "obs/trace_model.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string_view>
 #include <variant>
 
+#include "obs/format.hpp"
 #include "obs/trace_reader.hpp"
 
 namespace nautilus::obs {
@@ -24,6 +27,25 @@ bool flag(const TraceEvent& event, const char* key)
 std::uint64_t field(const TraceEvent& event, const char* key)
 {
     return event.unsigned_int(key).value_or(0);
+}
+
+const std::vector<double>* numbers(const TraceEvent& event, const char* key)
+{
+    const FieldValue* f = event.find(key);
+    return f != nullptr ? std::get_if<std::vector<double>>(f) : nullptr;
+}
+
+// The space-separated tokens of `text`; none for an empty string.
+std::vector<std::string_view> tokens(std::string_view text)
+{
+    std::vector<std::string_view> out;
+    if (text.empty()) return out;
+    for (std::size_t at = 0;;) {
+        const std::size_t space = text.find(' ', at);
+        out.push_back(text.substr(at, space - at));
+        if (space == std::string_view::npos) return out;
+        at = space + 1;
+    }
 }
 
 // Non-root births of one generation, tallied from the birth records.
@@ -133,6 +155,18 @@ bool RunTrace::dense() const
     return true;
 }
 
+// The fields every birth carries, decoded from a v1 `birth` event or from
+// one column entry of a v2 `births` record.
+struct RunTraceModel::Birth {
+    std::uint64_t id = 0;
+    std::uint64_t generation = 0;
+    std::optional<BirthOp> op;  // absent when op_text names no op
+    std::string op_text;
+    std::optional<std::uint64_t> parent_a;
+    std::optional<std::uint64_t> parent_b;
+    std::string_view codes;
+};
+
 RunTraceModel::RunTraceModel(std::string trace_path) : path(std::move(trace_path)) {}
 
 RunTraceModel RunTraceModel::read(TraceReader& reader, std::vector<TraceEvent>* events)
@@ -162,8 +196,11 @@ RunTrace* RunTraceModel::in_run(const TraceEvent& event, std::size_t line)
 
 void RunTraceModel::add(const TraceEvent& ev, std::size_t line)
 {
-    ++events;
-    ++counts[ev.type];
+    // A births record stands for one birth event per op it carries.
+    const bool columnar = ev.type == "births";
+    const std::size_t n = columnar ? ev.string("ops").value_or("").size() : 1;
+    events += n;
+    counts[columnar ? "birth" : ev.type] += n;
     last_t = ev.t;
 
     if (ev.type == "span") {
@@ -182,6 +219,7 @@ void RunTraceModel::add(const TraceEvent& ev, std::size_t line)
         run.retries_at_start = field(ev, "retries_at_start");
         open_ = runs.size() - 1;
         next_birth_id_.reset();
+        birth_type_.clear();
     }
     else if (ev.type == "run_end") {
         if (!open_) {
@@ -236,8 +274,23 @@ void RunTraceModel::add(const TraceEvent& ev, std::size_t line)
         draws.bias += field(ev, "bias_draws");
         draws.target += field(ev, "target_draws");
     }
-    else if (ev.type == "birth") {
-        if (RunTrace* run = in_run(ev, line)) add_birth(*run, ev, line);
+    else if (ev.type == "birth" || columnar) {
+        RunTrace* run = in_run(ev, line);
+        if (run == nullptr || !birth_layout(ev, line)) return;
+        if (columnar) {
+            add_births(*run, ev, line);
+            return;
+        }
+        Birth birth;
+        birth.id = field(ev, "id");
+        birth.generation = field(ev, "gen");
+        birth.op_text = ev.string("op").value_or("?");
+        if (BirthOp op{}; birth_op_from_name(birth.op_text, op)) birth.op = op;
+        birth.parent_a = ev.unsigned_int("pa");
+        birth.parent_b = ev.unsigned_int("pb");
+        const std::string codes = ev.string("origins").value_or("-");
+        birth.codes = codes;
+        add_birth(*run, birth, line);
     }
     else if (ev.type == "lineage_summary") {
         if (RunTrace* run = in_run(ev, line)) run->lineage = lineage_summary_from_event(ev);
@@ -257,35 +310,99 @@ void RunTraceModel::add(const TraceEvent& ev, std::size_t line)
     }
 }
 
-void RunTraceModel::add_birth(RunTrace& run, const TraceEvent& ev, std::size_t line)
+// One run, one birth layout.
+bool RunTraceModel::birth_layout(const TraceEvent& ev, std::size_t line)
+{
+    if (birth_type_.empty()) birth_type_ = ev.type;
+    if (ev.type == birth_type_) return true;
+    error(line, "run mixes birth events (trace v1) and births records (v2)");
+    return false;
+}
+
+// Trace format v2: `first` is the id of the record's first birth, the ids
+// run on densely, and ops, pa, pb and origins hold one entry per birth.
+void RunTraceModel::add_births(RunTrace& run, const TraceEvent& ev, std::size_t line)
+{
+    const std::optional<std::uint64_t> first = ev.unsigned_int("first");
+    if (!first) {
+        error(line, "births record without a valid first id");
+        return;
+    }
+    const std::string ops = ev.string("ops").value_or("");
+    const std::string origins = ev.string("origins").value_or("");
+    const std::vector<std::string_view> codes = tokens(origins);
+    const std::vector<double>* pa = numbers(ev, "pa");
+    const std::vector<double>* pb = numbers(ev, "pb");
+    const auto length = [](const std::vector<double>* v) { return v != nullptr ? v->size() : 0; };
+    if (length(pa) != ops.size() || length(pb) != ops.size() || codes.size() != ops.size()) {
+        error(line, "births columns differ in length: ops " + u64(ops.size()) + ", pa " +
+                        u64(length(pa)) + ", pb " + u64(length(pb)) + ", origins " +
+                        u64(codes.size()));
+        next_birth_id_ = *first + ops.size();
+        return;
+    }
+    if (next_birth_id_ && *first != *next_birth_id_)
+        error(line, "births first " + u64(*first) + " breaks the dense sequence (expected " +
+                        u64(*next_birth_id_) + ")");
+    next_birth_id_ = *first;
+
+    const std::uint64_t generation = field(ev, "gen");
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        Birth birth;
+        birth.id = *first + i;
+        birth.generation = generation;
+        birth.op_text = std::string(1, ops[i]);
+        if (BirthOp op{}; birth_op_from_code(ops[i], op)) birth.op = op;
+        birth.codes = codes[i];
+        // A parent column entry is null or an exact integer id.
+        bool ids_ok = true;
+        const auto parent = [&](const char* key, double v, std::optional<std::uint64_t>& out) {
+            if (std::isnan(v)) return;
+            if (v >= 0.0 && !std::signbit(v) && v < 0x1p53 && v == std::floor(v)) {
+                out = static_cast<std::uint64_t>(v);
+                return;
+            }
+            std::string text;
+            append_double(text, v);
+            error(line, "birth " + u64(birth.id) + " has " + key + " " + text +
+                            ", not a birth id");
+            ids_ok = false;
+        };
+        parent("pa", (*pa)[i], birth.parent_a);
+        parent("pb", (*pb)[i], birth.parent_b);
+        if (ids_ok) add_birth(run, birth, line);
+        else ++*next_birth_id_;
+    }
+}
+
+void RunTraceModel::add_birth(RunTrace& run, const Birth& birth, std::size_t line)
 {
     BirthRecord rec;
-    rec.id = field(ev, "id");
-    rec.generation = field(ev, "gen");
+    rec.id = birth.id;
+    rec.generation = birth.generation;
     // Ids are minted densely: each birth is the run's first id plus the
     // number of births before it.
     if (!next_birth_id_) next_birth_id_ = rec.id;
     if (rec.id != (*next_birth_id_)++)
         error(line, "birth id " + u64(rec.id) + " breaks the dense sequence");
     // Ancestry is acyclic: parents are always older (smaller id).
-    const auto parent = [&](const char* key, std::uint64_t& out) {
-        const std::optional<std::uint64_t> id = ev.unsigned_int(key);
+    const auto parent = [&](const char* key, std::optional<std::uint64_t> id,
+                            std::uint64_t& out) {
         if (!id) return;
         if (*id >= rec.id)
             error(line, "birth " + u64(rec.id) + " has " + key + " " + u64(*id) +
                             " >= its own id");
         out = *id;
     };
-    parent("pa", rec.parent_a);
-    parent("pb", rec.parent_b);
-    const std::string op = ev.string("op").value_or("?");
-    if (!birth_op_from_name(op, rec.op)) {
-        error(line, "birth with unknown op '" + op + "'");
+    parent("pa", birth.parent_a, rec.parent_a);
+    parent("pb", birth.parent_b, rec.parent_b);
+    if (!birth.op) {
+        error(line, "birth with unknown op '" + birth.op_text + "'");
         return;
     }
-    const std::string codes = ev.string("origins").value_or("-");
-    if (!origins_from_codes(codes, rec.origins)) {
-        error(line, "birth with bad origin codes '" + codes + "'");
+    rec.op = *birth.op;
+    if (!origins_from_codes(birth.codes, rec.origins)) {
+        error(line, "birth with bad origin codes '" + std::string{birth.codes} + "'");
         return;
     }
     run.births.push_back(std::move(rec));

@@ -9,12 +9,20 @@
 // job_summary of a server job, the birth records and per-generation draw
 // tallies, and the parsed lineage_summary.
 //
+// Births come in two layouts (DESIGN.md section 7): trace format v1 writes
+// one `birth` event per birth, v2 one columnar `births` record per wave of
+// births.  Both decode into the same BirthRecords, and a `births` record
+// counts as one `birth` event per birth it carries, so a v1 and a v2 trace
+// of the same run read back identically.  One run must use one layout.
+//
 // Two kinds of problem are kept apart:
 //   - structural errors (`errors`), found while reading: an event outside
 //     any run, run_end without run_start, a run that never ends, a birth id
 //     that breaks the dense sequence or names a parent not older than
-//     itself, and an unknown birth op or origin code.  Every tool refuses a
-//     trace that has any (trace_inspect only under --check).
+//     itself, an unknown birth op or origin code, a `births` record whose
+//     columns differ in length or hold a parent that is not an id, and a
+//     run that mixes the two layouts.  Every tool refuses a trace that has
+//     any (trace_inspect only under --check).
 //   - accounting violations, returned by check(): evaluation and guard
 //     accounting, job_summary reconciliation and lineage conservation.
 //     This is the one place those invariants are implemented.
@@ -142,7 +150,7 @@ public:
     std::string path;
     std::size_t lines = 0;        // non-blank lines, set by read()
     std::size_t unparseable = 0;  // lines the reader rejected, set by read()
-    std::size_t events = 0;
+    std::size_t events = 0;       // a `births` record counts once per birth
     double last_t = 0.0;
     std::map<std::string, std::uint64_t> counts;  // events by type
     std::map<std::string, SpanTotals> spans;      // by span name
@@ -154,13 +162,18 @@ public:
     std::vector<TraceError> errors;
 
 private:
+    struct Birth;  // one birth as either layout spells it
+
     void error(std::size_t line, const std::string& what);
     RunTrace* in_run(const TraceEvent& event, std::size_t line);
-    void add_birth(RunTrace& run, const TraceEvent& event, std::size_t line);
+    bool birth_layout(const TraceEvent& event, std::size_t line);
+    void add_births(RunTrace& run, const TraceEvent& event, std::size_t line);
+    void add_birth(RunTrace& run, const Birth& birth, std::size_t line);
 
     std::optional<std::size_t> open_;             // index of the open run
     std::optional<std::size_t> last_closed_;      // latest run with a run_end
     std::optional<std::uint64_t> next_birth_id_;  // in the open run
+    std::string birth_type_;  // "birth" or "births" once the open run has one
 };
 
 }  // namespace nautilus::obs

@@ -293,6 +293,8 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
             .add("retries", std::size_t{out.fault.retries});
         inst.tracer.emit(std::move(ev));
     }
+    // A trace that could not be written fails the job (runtime_error).
+    if (inst.tracer.enabled()) inst.tracer.sink()->flush();
     return out;
 }
 

@@ -1,10 +1,15 @@
 // Golden traces: the timing-free projection of two reference CLI runs must
-// match tests/golden/*.jsonl line for line, at 1 and at 4 evaluation workers.
-// This pins the absolute output of selection, crossover and hint-guided
-// mutation, and the lineage birth stream, which comparing two runs of the
-// same code cannot see (DESIGN.md section 10).  On a mismatch the fresh
-// projection is written into the build tree with the `cp` command that
-// accepts it; accepting one is a behaviour change for CHANGES.md.
+// match tests/golden/*.v2.jsonl line for line, at 1 and at 4 evaluation
+// workers.  This pins the absolute output of selection, crossover and
+// hint-guided mutation, and the lineage birth stream, which comparing two
+// runs of the same code cannot see (DESIGN.md section 10).  On a mismatch
+// the fresh projection is written into the build tree with the `cp` command
+// that accepts it; accepting one is a behaviour change for CHANGES.md.
+//
+// tests/golden/{ga_experiment,nsga2}.jsonl are the same two runs in trace
+// format v1 (one `birth` event per birth, %.17g doubles).  They stay as the
+// reader's v1 fixtures: both layouts must decode to the same births and the
+// same values for every other event.
 
 #include <gtest/gtest.h>
 
@@ -75,7 +80,8 @@ TEST_P(GoldenTrace, MatchesCommittedProjection)
         if (reader.event().type != "span") fresh.push_back(project(reader.event()));
     ASSERT_TRUE(reader.is_open() && reader.parse_errors() == 0) << trace;
 
-    const std::string golden_path = std::string{NAUTILUS_GOLDEN_DIR} + "/" + c.golden + ".jsonl";
+    const std::string golden_path =
+        std::string{NAUTILUS_GOLDEN_DIR} + "/" + c.golden + ".v2.jsonl";
     std::vector<std::string> golden;
     std::ifstream in{golden_path};
     for (std::string line; std::getline(in, line);) golden.push_back(line);

@@ -20,6 +20,7 @@
 #include "core/nautilus.hpp"
 #include "core/nsga2.hpp"
 #include "noc/router_generator.hpp"
+#include "obs/trace_model.hpp"
 #include "fixtures.hpp"
 
 namespace nautilus {
@@ -42,6 +43,21 @@ std::string drop_field(std::string json, const std::string& key)
     if (end != std::string::npos && json[end] == ',')
         ++end;  // interior field: eat the trailing comma
     return json.erase(at, end - at);
+}
+
+// The birth records of every run the sink holds, decoded by the trace
+// reader's model from the `births` records the engines wrote.
+std::vector<obs::BirthRecord> traced_births(const MemorySink& sink)
+{
+    obs::RunTraceModel model{"memory"};
+    std::size_t line = 0;
+    for (const TraceEvent& ev : sink.events()) model.add(ev, ++line);
+    model.finish();
+    EXPECT_TRUE(model.errors.empty()) << model.errors.front().text;
+    std::vector<obs::BirthRecord> births;
+    for (const obs::RunTrace& run : model.runs)
+        births.insert(births.end(), run.births.begin(), run.births.end());
+    return births;
 }
 
 // ---- codes & names ----------------------------------------------------------
@@ -70,6 +86,12 @@ TEST(LineageOrigins, CodesAndNamesRoundTrip)
         EXPECT_STREQ(obs::birth_op_name(op), name);
     }
     EXPECT_FALSE(obs::birth_op_from_name("nope", op));
+    for (const char code : {'i', 'r', 'e', 'm', 'c'}) {
+        ASSERT_TRUE(obs::birth_op_from_code(code, op)) << code;
+        EXPECT_EQ(obs::birth_op_code(op), code);
+        EXPECT_EQ(obs::birth_op_name(op)[0], code);
+    }
+    EXPECT_FALSE(obs::birth_op_from_code('x', op));
 }
 
 // ---- recorder ---------------------------------------------------------------
@@ -120,7 +142,20 @@ TEST(LineageRecorder, MintsDenseRecordsEmitsEventsAndSummarizes)
     EXPECT_EQ(s.winner_fresh, 2u);  // inherited genes walk back to init roots
     EXPECT_EQ(s.winner_depth, 1u);
 
-    EXPECT_EQ(sink->events_of("birth").size(), 4u);
+    // Two columnar records: minting the generation-1 child flushed the two
+    // roots, and finish() flushed the rest.
+    const auto records = sink->events_of("births");
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].unsigned_int("gen"), 0u);
+    EXPECT_EQ(records[0].unsigned_int("first"), 0u);
+    EXPECT_EQ(records[0].string("ops"), "ii");
+    EXPECT_EQ(records[0].string("origins"), "fff fff");
+    EXPECT_EQ(records[1].unsigned_int("gen"), 1u);
+    EXPECT_EQ(records[1].unsigned_int("first"), child);
+    EXPECT_EQ(records[1].string("ops"), "ce");
+    EXPECT_EQ(records[1].string("origins"), "abx -");
+    EXPECT_EQ(obs::to_jsonl(records[1]).substr(obs::to_jsonl(records[1]).find("\"pa\"")),
+              "\"pa\":[0,2],\"pb\":[1,null],\"origins\":\"abx -\"}");
     const auto summaries = sink->events_of("lineage_summary");
     ASSERT_EQ(summaries.size(), 1u);
     EXPECT_EQ(summaries[0].string("engine").value_or(""), "ga");
@@ -259,26 +294,27 @@ TEST(LineageGa, BirthAccountingMatchesBreedEvents)
     std::map<std::uint64_t, GenTally> born;
     std::uint64_t roots = 0;
     std::uint64_t expected_id = 0;
-    for (const TraceEvent& ev : sink->events_of("birth")) {
-        EXPECT_EQ(ev.unsigned_int("id").value_or(~0ull), expected_id++);
-        const std::string op = ev.string("op").value_or("");
-        if (op == "init" || op == "resume") {
+    for (const obs::BirthRecord& rec : traced_births(*sink)) {
+        EXPECT_EQ(rec.id, expected_id++);
+        if (rec.op == BirthOp::init || rec.op == BirthOp::resume) {
             ++roots;
             continue;
         }
-        GenTally& t = born[ev.unsigned_int("gen").value_or(0)];
+        GenTally& t = born[rec.generation];
         ++t.births;
-        if (op == "elite") ++t.elites;
-        for (const char c : ev.string("origins").value_or("")) {
-            if (c == 'u') ++t.uniform;
-            if (c == 'b') ++t.bias;
-            if (c == 't') ++t.target;
+        if (rec.op == BirthOp::elite) ++t.elites;
+        for (const GeneOrigin o : rec.origins) {
+            if (o == GeneOrigin::uniform) ++t.uniform;
+            if (o == GeneOrigin::bias) ++t.bias;
+            if (o == GeneOrigin::target) ++t.target;
         }
     }
     EXPECT_EQ(roots, toy_cfg().population_size);
 
+    // One columnar record for the roots and one per bred generation.
     const auto breeds = sink->events_of("breed");
     ASSERT_EQ(breeds.size(), born.size());
+    EXPECT_EQ(sink->events_of("births").size(), breeds.size() + 1);
     for (const TraceEvent& ev : breeds) {
         const auto it = born.find(ev.unsigned_int("gen").value_or(~0ull));
         ASSERT_NE(it, born.end());
@@ -319,11 +355,10 @@ TEST(LineageGa, QuarantinedOffspringStillGetBirthRecords)
     ASSERT_GE(result.fault.quarantined, 1u);
 
     // Every slot of every generation was recorded, dense and conserved.
-    const auto births = sink->events_of("birth");
+    const std::vector<obs::BirthRecord> births = traced_births(*sink);
     EXPECT_EQ(births.size(), cfg.population_size * result.history.size());
     std::uint64_t expected_id = 0;
-    for (const TraceEvent& ev : births)
-        EXPECT_EQ(ev.unsigned_int("id").value_or(~0ull), expected_id++);
+    for (const obs::BirthRecord& rec : births) EXPECT_EQ(rec.id, expected_id++);
 
     const obs::LineageCounters counters = cfg.obs.lineage->counters();
     EXPECT_EQ(counters.births, births.size());
@@ -414,8 +449,7 @@ TEST(LineageNsga2, BirthsCoverBroodAndWinnersAreTheFront)
     const std::uint64_t roots = s.unsigned_int("roots").value_or(0);
     EXPECT_EQ(s.unsigned_int("births").value_or(0), roots + born);
     std::uint64_t expected_id = 0;
-    for (const TraceEvent& ev : sink->events_of("birth"))
-        EXPECT_EQ(ev.unsigned_int("id").value_or(~0ull), expected_id++);
+    for (const obs::BirthRecord& rec : traced_births(*sink)) EXPECT_EQ(rec.id, expected_id++);
     EXPECT_EQ(expected_id, roots + born);
 
     EXPECT_EQ(cfg.obs.lineage->counters().births, roots + born);

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -243,6 +247,28 @@ TEST(ObsTrace, JsonlFileSinkWritesParseableLines)
     }
     EXPECT_EQ(parsed, 2u);
     std::remove(path.c_str());
+}
+
+// A write the device refuses is kept: flush() throws naming the path and
+// the cause, again on every later call, and the destructor stays quiet.
+TEST(ObsTrace, JsonlFileSinkReportsAFailedWriteOnFlush)
+{
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+    obs::JsonlFileSink sink{"/dev/full"};
+    TraceEvent ev{"full_test"};
+    ev.add("k", std::size_t{1});
+    sink.write(ev);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        try {
+            sink.flush();
+            ADD_FAILURE() << "flush() on /dev/full did not throw";
+        }
+        catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("'/dev/full'"), std::string::npos) << e.what();
+            EXPECT_NE(std::string{e.what()}.find(std::strerror(ENOSPC)), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ObsTrace, ScopedTimerReportsNesting)

@@ -42,9 +42,9 @@ TEST(ObsPrometheus, GoldenExposition)
     h.observe(0.5);
     h.observe(5.0);
 
-    // Doubles render at %.17g round-trip precision (shared with the trace
-    // and /status surfaces via obs/format.hpp), so decimals with no exact
-    // binary form carry their full digits.
+    // Doubles render as the shortest decimal that round-trips (shared with
+    // the trace and /status surfaces via obs/format.hpp), so 0.1 is "0.1"
+    // although it has no exact binary form.
     const std::string text = to_prometheus(reg.snapshot());
     const std::string expected =
         "# TYPE nautilus_eval_items_total counter\n"
@@ -52,10 +52,10 @@ TEST(ObsPrometheus, GoldenExposition)
         "# TYPE nautilus_workers gauge\n"
         "nautilus_workers 4\n"
         "# TYPE nautilus_wave_seconds histogram\n"
-        "nautilus_wave_seconds_bucket{le=\"0.10000000000000001\"} 1\n"
+        "nautilus_wave_seconds_bucket{le=\"0.1\"} 1\n"
         "nautilus_wave_seconds_bucket{le=\"1\"} 2\n"
         "nautilus_wave_seconds_bucket{le=\"+Inf\"} 3\n"
-        "nautilus_wave_seconds_sum 5.5499999999999998\n"
+        "nautilus_wave_seconds_sum 5.55\n"
         "nautilus_wave_seconds_count 3\n";
     EXPECT_EQ(text, expected);
 }
@@ -116,8 +116,7 @@ TEST(ObsPrometheus, ProgressExpositionCarriesRunState)
     EXPECT_NE(out.find("nautilus_progress_generations_total 80\n"), std::string::npos);
     EXPECT_NE(out.find("nautilus_progress_best 123.5\n"), std::string::npos);
     EXPECT_NE(out.find("nautilus_progress_distinct_evals 340\n"), std::string::npos);
-    EXPECT_NE(out.find("nautilus_progress_cache_hit_rate 0.57499999999999996\n"),
-              std::string::npos);
+    EXPECT_NE(out.find("nautilus_progress_cache_hit_rate 0.575\n"), std::string::npos);
 
     // Without a best value the series is absent rather than misleadingly 0.
     std::string no_best;

@@ -1,6 +1,7 @@
 // The one JSON codec (obs/json): the escaper every writer uses, the strict
-// flat-object reader, and the two readers built on it -- trace lines
-// (parse_jsonl_line) and job specs (parse_job_spec).
+// flat-object reader, the two readers built on it -- trace lines
+// (parse_jsonl_line) and job specs (parse_job_spec) -- and the shared
+// shortest round-trip double formatter (obs/format.hpp).
 
 #include "obs/json.hpp"
 
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "obs/format.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 #include "serve/job_spec.hpp"
@@ -204,7 +206,7 @@ TEST(TraceLineGrammar, SubnormalDoublesRoundTripBitExact)
         EXPECT_EQ(obs::to_jsonl(*back), line);
     }
     EXPECT_NE(obs::to_jsonl(obs::TraceEvent{"x"}.add("v", obs::FieldValue{5e-324}))
-                  .find("4.9406564584124654e-324"),
+                  .find("\"v\":5e-324"),
               std::string::npos);
 }
 
@@ -241,6 +243,98 @@ TEST(TraceReader, NamesTheCauseOfAnUnparseableLine)
     EXPECT_EQ(reader.parse_errors(), 1u);
     EXPECT_EQ(err, path + ":3: unparseable trace line: expected ',' or '}' at byte 17\n");
     std::remove(path.c_str());
+}
+
+// ---- Shortest round-trip doubles ----------------------------------------------
+
+std::string json_double(double v)
+{
+    std::string out;
+    obs::append_json_double(out, v);
+    return out;
+}
+
+// The rendering trace format v1 wrote: %.17g plus the same null and ".0"
+// rules.
+std::string json_double_17g(double v)
+{
+    if (!std::isfinite(v)) return "null";
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    std::string out = buf;
+    if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+    return out;
+}
+
+// One value through a trace line as a scalar, an array element and `t`:
+// each must read back bit for bit (NaN for a non-finite value), the scalar
+// no longer than its %.17g rendering and, when integral, still a double.
+void expect_shortest_round_trip(double v)
+{
+    const std::string text = json_double(v);
+    SCOPED_TRACE(text);
+    EXPECT_LE(text.size(), json_double_17g(v).size()) << json_double_17g(v);
+    if (std::isfinite(v) && v == std::trunc(v)) {
+        ASSERT_NE(text.find_first_of(".e"), std::string::npos);
+        if (text.find('e') == std::string::npos) {
+            EXPECT_EQ(text.substr(text.size() - 2), ".0");
+        }
+    }
+
+    obs::TraceEvent ev{"d"};
+    ev.t = v;
+    ev.add("v", obs::FieldValue{v}).add("a", obs::FieldValue{std::vector<double>{v, 1.0}});
+    const std::string line = obs::to_jsonl(ev);
+    const std::optional<obs::TraceEvent> back = obs::parse_jsonl_line(line);
+    ASSERT_TRUE(back.has_value()) << line;
+    ASSERT_NE(line.find("\"v\":" + text + ","), std::string::npos) << line;
+    const double scalar = std::get<double>(*back->find("v"));
+    const double element = std::get<std::vector<double>>(*back->find("a")).at(0);
+    if (!std::isfinite(v)) {
+        EXPECT_EQ(text, "null");
+        EXPECT_TRUE(std::isnan(scalar) && std::isnan(element) && std::isnan(back->t));
+        return;
+    }
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar), bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(element), bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back->t), bits);
+}
+
+TEST(DoubleFormat, EdgeCasesRenderShortestAndRoundTrip)
+{
+    const std::pair<double, const char*> cases[] = {
+        {0.0, "0.0"},
+        {-0.0, "-0.0"},
+        {std::numeric_limits<double>::denorm_min(), "5e-324"},
+        {-1e-310, "-1e-310"},
+        {std::numeric_limits<double>::min(), "2.2250738585072014e-308"},
+        {std::numeric_limits<double>::max(), "1.7976931348623157e+308"},
+        {9007199254740993.0, "9007199254740992.0"},  // 2^53 + 1 rounds to 2^53
+        {1e21, "1e+21"},
+        {1.2345678901234568e20, "1.2345678901234568e+20"},  // 21 digits in fixed
+        {100.0, "100.0"},
+        {0.1, "0.1"},
+        {0.00028949899999999997, "0.000289499"},
+        {std::numeric_limits<double>::infinity(), "null"},
+        {std::numeric_limits<double>::quiet_NaN(), "null"},
+    };
+    for (const auto& [v, want] : cases) {
+        EXPECT_EQ(json_double(v), want);
+        expect_shortest_round_trip(v);
+    }
+    std::string element;
+    obs::append_json_element(element, 100.0);
+    EXPECT_EQ(element, "100");
+}
+
+TEST(DoubleFormat, RandomBitPatternsRoundTripNoLongerThan17g)
+{
+    Rng rng{0xd0b1e};
+    for (int i = 0; i < 100000; ++i) {
+        expect_shortest_round_trip(std::bit_cast<double>(rng.next_u64()));
+        if (testing::Test::HasFailure()) return;
+    }
 }
 
 // ---- Job specs ---------------------------------------------------------------

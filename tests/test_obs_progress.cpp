@@ -106,8 +106,7 @@ TEST(ObsProgress, JsonRendering)
     EXPECT_NE(json.find("\"generations_total\":80"), std::string::npos);
     EXPECT_NE(json.find("\"best\":123.5"), std::string::npos);
     EXPECT_NE(json.find("\"distinct_evals\":340"), std::string::npos);
-    EXPECT_NE(json.find("\"cache_hit_rate\":0.57499999999999996"),
-              std::string::npos);
+    EXPECT_NE(json.find("\"cache_hit_rate\":0.575"), std::string::npos);
 
     snap.have_best = false;
     EXPECT_NE(to_json(snap).find("\"best\":null"), std::string::npos);

@@ -75,11 +75,14 @@ void expect_traces_equal(const std::string& base_path, const std::string& cand_p
         "waits",          "inflight_waits", "store_hits", "store_misses",
         "attempts",       "job_id",       "request_id",
     };
+    // The kept fields compare as their JSONL rendering (without `t`), so a
+    // null -- a births record's missing parent -- equals null, where NaN
+    // would compare unequal to itself.
     const auto filter = [](const obs::TraceEvent& ev) {
-        std::vector<std::pair<std::string, obs::FieldValue>> kept;
+        obs::TraceEvent kept{ev.type};
         for (const auto& [key, value] : ev.fields)
-            if (skip.count(key) == 0) kept.push_back({key, value});
-        return kept;
+            if (skip.count(key) == 0) kept.fields.emplace_back(key, value);
+        return obs::to_jsonl(kept);
     };
     // job_summary is the server-only accounting epilogue (wall-clock and
     // store-traffic dominated); the search content it must agree with is

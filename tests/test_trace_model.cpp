@@ -1,13 +1,18 @@
 // obs::RunTraceModel: the one reading of a trace behind trace_inspect,
 // trace_diff and lineage_report.  Both committed goldens must read back
-// with no structural error and no accounting violation; hand-built event
-// sequences pin resume baselines, job_summary attachment, the NSGA-II
-// `born` check and every structural error the tools refuse.
+// with no structural error and no accounting violation, and their v1 and
+// v2 layouts must decode alike; hand-built event sequences pin resume
+// baselines, job_summary attachment, the NSGA-II `born` check and every
+// structural error the tools refuse.
 
 #include "obs/trace_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,9 +21,12 @@
 namespace nautilus {
 namespace {
 
+using obs::FieldValue;
 using obs::RunTraceModel;
 using obs::TraceEvent;
 using obs::TraceViolation;
+
+constexpr double k_null = std::numeric_limits<double>::quiet_NaN();  // JSON null
 
 std::vector<TraceEvent> golden_events(const std::string& name)
 {
@@ -78,6 +86,46 @@ TraceEvent birth(int id, int gen, const char* op, const char* origins)
                                                                               origins);
 }
 
+// A trace format v2 `births` record.
+TraceEvent births(int first, int gen, const char* ops, std::vector<double> pa,
+                  std::vector<double> pb, const char* origins)
+{
+    return TraceEvent{"births"}
+        .add("gen", gen)
+        .add("first", first)
+        .add("ops", ops)
+        .add("pa", FieldValue{std::move(pa)})
+        .add("pb", FieldValue{std::move(pb)})
+        .add("origins", origins);
+}
+
+// Every field of a birth record, for comparisons that print well.
+std::string describe(const obs::BirthRecord& rec)
+{
+    std::ostringstream out;
+    out << "id " << rec.id << " gen " << rec.generation << ' ' << obs::birth_op_name(rec.op)
+        << " pa " << rec.parent_a << " pb " << rec.parent_b << ' '
+        << obs::origin_codes(rec.origins);
+    return out.str();
+}
+
+// Same kind and same value; doubles compare bit for bit.
+bool same_value(const FieldValue& a, const FieldValue& b)
+{
+    if (a.index() != b.index()) return false;
+    if (const auto* x = std::get_if<double>(&a))
+        return std::bit_cast<std::uint64_t>(*x) == std::bit_cast<std::uint64_t>(std::get<double>(b));
+    if (const auto* x = std::get_if<std::vector<double>>(&a)) {
+        const auto& y = std::get<std::vector<double>>(b);
+        if (x->size() != y.size()) return false;
+        for (std::size_t i = 0; i < x->size(); ++i)
+            if (std::bit_cast<std::uint64_t>((*x)[i]) != std::bit_cast<std::uint64_t>(y[i]))
+                return false;
+        return true;
+    }
+    return a == b;
+}
+
 // ---- the committed goldens --------------------------------------------------
 
 TEST(TraceModelGolden, GaExperimentReadsBackConsistent)
@@ -135,6 +183,68 @@ TEST(TraceModelGolden, TamperedLineageSummaryFailsTheReplay)
     EXPECT_TRUE(violations[0].lineage);
     EXPECT_NE(violations[0].text.find("lineage_summary genes_uniform"), std::string::npos)
         << violations[0].text;
+}
+
+// The v1 and v2 goldens are the same two runs in the two trace layouts.
+// They must decode to equal birth records with births in the same places,
+// and every other event must carry the same fields with bit-identical
+// values: the shortest round-trip doubles of v2 read back exactly as v1's
+// %.17g ones.
+TEST(TraceModelGolden, V1AndV2DecodeToTheSameBirthsAndValues)
+{
+    for (const std::string name : {"ga_experiment", "nsga2"}) {
+        SCOPED_TRACE(name);
+        const std::vector<TraceEvent> v1 = golden_events(name + ".jsonl");
+        const std::vector<TraceEvent> v2 = golden_events(name + ".v2.jsonl");
+        const RunTraceModel m1 = feed(v1);
+        const RunTraceModel m2 = feed(v2);
+        EXPECT_TRUE(m2.errors.empty());
+        EXPECT_TRUE(m2.check().empty());
+        EXPECT_EQ(m2.counts.count("births"), 0u);
+        EXPECT_EQ(m1.counts, m2.counts);
+        EXPECT_EQ(m1.events, m2.events);
+        EXPECT_LT(v2.size(), v1.size());
+        ASSERT_EQ(m1.runs.size(), m2.runs.size());
+        for (std::size_t r = 0; r < m1.runs.size(); ++r) {
+            std::vector<std::string> b1, b2;
+            for (const obs::BirthRecord& rec : m1.runs[r].births) b1.push_back(describe(rec));
+            for (const obs::BirthRecord& rec : m2.runs[r].births) b2.push_back(describe(rec));
+            EXPECT_FALSE(b1.empty());
+            EXPECT_EQ(b1, b2) << "run " << r;
+        }
+
+        // Births sit where v1's did: with each run of birth events and of
+        // births records collapsed to one marker, the sequences agree.
+        const auto shape = [](const std::vector<TraceEvent>& events) {
+            std::vector<std::string> out;
+            for (const TraceEvent& ev : events) {
+                const bool birth = ev.type == "birth" || ev.type == "births";
+                if (birth && !out.empty() && out.back() == "births") continue;
+                out.push_back(birth ? "births" : ev.type);
+            }
+            return out;
+        };
+        EXPECT_EQ(shape(v1), shape(v2));
+
+        const auto others = [](const std::vector<TraceEvent>& events) {
+            std::vector<TraceEvent> out;
+            for (const TraceEvent& ev : events)
+                if (ev.type != "birth" && ev.type != "births") out.push_back(ev);
+            return out;
+        };
+        const std::vector<TraceEvent> o1 = others(v1);
+        const std::vector<TraceEvent> o2 = others(v2);
+        ASSERT_EQ(o1.size(), o2.size());
+        for (std::size_t i = 0; i < o1.size(); ++i) {
+            ASSERT_EQ(o1[i].type, o2[i].type) << "event " << i;
+            ASSERT_EQ(o1[i].fields.size(), o2[i].fields.size()) << "event " << i;
+            for (std::size_t f = 0; f < o1[i].fields.size(); ++f) {
+                EXPECT_EQ(o1[i].fields[f].first, o2[i].fields[f].first) << "event " << i;
+                EXPECT_TRUE(same_value(o1[i].fields[f].second, o2[i].fields[f].second))
+                    << "event " << i << " field " << o1[i].fields[f].first;
+            }
+        }
+    }
 }
 
 // ---- resume baselines -------------------------------------------------------
@@ -286,6 +396,146 @@ TEST(TraceModel, EventsOutsideRunsAndBadBirthsAreStructuralErrors)
                                       "t.jsonl:8: checkpoint outside any run",
                                   }));
     EXPECT_TRUE(model.runs[0].births.empty());
+}
+
+// ---- trace format v2 births records -----------------------------------------
+
+TEST(TraceModel, BirthsRecordDecodesLikeBirthEvents)
+{
+    const RunTraceModel v2 = feed({
+        run_start("ga"),
+        births(0, 0, "ii", {k_null, k_null}, {k_null, k_null}, "ff ff"),
+        births(2, 1, "ec", {1, 0}, {k_null, 1}, "- ax"),
+        wave(4, 4),
+        run_end(4),
+    });
+    const RunTraceModel v1 = feed({
+        run_start("ga"),
+        birth(0, 0, "init", "ff"),
+        birth(1, 0, "init", "ff"),
+        birth(2, 1, "elite", "-").add("pa", 1),
+        birth(3, 1, "crossover", "ax").add("pa", 0).add("pb", 1),
+        wave(4, 4),
+        run_end(4),
+    });
+    EXPECT_TRUE(v2.errors.empty());
+    EXPECT_EQ(v2.counts, v1.counts);
+    EXPECT_EQ(v2.events, 7u);
+    ASSERT_EQ(v2.runs[0].births.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(describe(v2.runs[0].births[i]), describe(v1.runs[0].births[i]));
+}
+
+TEST(TraceModel, BirthsColumnsOfUnequalLengthAreAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        births(0, 0, "ii", {k_null}, {k_null, k_null}, "ff ff"),
+        births(2, 0, "ii", {k_null, k_null}, {k_null, k_null}, "ff"),
+        TraceEvent{"births"}.add("first", 4).add("ops", "i").add("origins", "ff"),
+        births(5, 0, "i", {k_null}, {k_null}, "ff"),
+        TraceEvent{"births"}.add("ops", "i"),
+        wave(0, 0),
+        run_end(0),
+    });
+    EXPECT_EQ(error_texts(model),
+              (std::vector<std::string>{
+                  "t.jsonl:2: births columns differ in length: ops 2, pa 1, pb 2, origins 2",
+                  "t.jsonl:3: births columns differ in length: ops 2, pa 2, pb 2, origins 1",
+                  "t.jsonl:4: births columns differ in length: ops 1, pa 0, pb 0, origins 1",
+                  "t.jsonl:6: births record without a valid first id",
+              }));
+    ASSERT_EQ(model.runs[0].births.size(), 1u);
+    EXPECT_EQ(model.runs[0].births[0].id, 5u);
+}
+
+TEST(TraceModel, BirthsParentThatIsNotAnIdIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        births(0, 0, "ii", {k_null, k_null}, {k_null, k_null}, "ff ff"),
+        births(2, 1, "mmmc", {0.5, -1, 1e300, 0}, {k_null, k_null, k_null, -0.0},
+               "au au au ax"),
+        wave(0, 0),
+        run_end(0),
+    });
+    EXPECT_EQ(error_texts(model), (std::vector<std::string>{
+                                      "t.jsonl:3: birth 2 has pa 0.5, not a birth id",
+                                      "t.jsonl:3: birth 3 has pa -1, not a birth id",
+                                      "t.jsonl:3: birth 4 has pa 1e+300, not a birth id",
+                                      "t.jsonl:3: birth 5 has pb -0, not a birth id",
+                                  }));
+    EXPECT_EQ(model.runs[0].births.size(), 2u);
+}
+
+TEST(TraceModel, BirthsParentNotBelowItsChildIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        births(0, 0, "im", {k_null, 1}, {k_null, k_null}, "ff au"),
+        births(2, 1, "c", {0}, {7}, "ax"),
+        wave(0, 0),
+        run_end(0),
+    });
+    EXPECT_EQ(error_texts(model), (std::vector<std::string>{
+                                      "t.jsonl:2: birth 1 has pa 1 >= its own id",
+                                      "t.jsonl:3: birth 2 has pb 7 >= its own id",
+                                  }));
+}
+
+TEST(TraceModel, BirthsUnknownOpCodeIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        births(0, 0, "iI", {k_null, k_null}, {k_null, k_null}, "ff ff"),
+        births(2, 0, "i", {k_null}, {k_null}, "fz"),
+        wave(0, 0),
+        run_end(0),
+    });
+    EXPECT_EQ(error_texts(model), (std::vector<std::string>{
+                                      "t.jsonl:2: birth with unknown op 'I'",
+                                      "t.jsonl:3: birth with bad origin codes 'fz'",
+                                  }));
+    EXPECT_EQ(model.runs[0].births.size(), 1u);
+}
+
+TEST(TraceModel, BirthsGapInTheIdSequenceIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        births(0, 0, "ii", {k_null, k_null}, {k_null, k_null}, "ff ff"),
+        births(3, 1, "m", {1}, {k_null}, "au"),
+        births(4, 1, "m", {3}, {k_null}, "au"),
+        wave(0, 0),
+        run_end(0),
+    });
+    EXPECT_EQ(error_texts(model),
+              std::vector<std::string>{
+                  "t.jsonl:3: births first 3 breaks the dense sequence (expected 2)"});
+    EXPECT_FALSE(model.runs[0].dense());
+}
+
+TEST(TraceModel, MixingBirthLayoutsInOneRunIsAStructuralError)
+{
+    const RunTraceModel model = feed({
+        run_start("ga"),
+        birth(0, 0, "init", "ff"),
+        births(1, 0, "i", {k_null}, {k_null}, "ff"),
+        wave(0, 0),
+        run_end(0),
+        run_start("ga"),
+        births(0, 0, "i", {k_null}, {k_null}, "ff"),
+        birth(1, 0, "init", "ff"),
+        wave(0, 0),
+        run_end(0),
+    });
+    EXPECT_EQ(error_texts(model),
+              (std::vector<std::string>{
+                  "t.jsonl:3: run mixes birth events (trace v1) and births records (v2)",
+                  "t.jsonl:8: run mixes birth events (trace v1) and births records (v2)",
+              }));
+    EXPECT_EQ(model.runs[0].births.size(), 1u);
+    EXPECT_EQ(model.runs[1].births.size(), 1u);
 }
 
 }  // namespace

@@ -736,5 +736,14 @@ int main(int argc, char** argv)
     dump_lineage();
     dump_store();
     dump_metrics();
+    if (inst.tracer.enabled()) {
+        try {
+            inst.tracer.sink()->flush();
+        }
+        catch (const std::runtime_error& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            return finish(1);
+        }
+    }
     return finish(0);
 }

@@ -16,7 +16,9 @@
 //
 // The summary reports event counts by type, aggregate span timings, a
 // per-run table (engine, waves, distinct vs. total evaluations, cache hit
-// rate, wall-clock) and the hint-guided mutation draw distribution.
+// rate, wall-clock) and the hint-guided mutation draw distribution.  Counts
+// are per birth in either trace format: a v2 `births` record counts as one
+// `birth` event per birth it carries.
 //
 // The trace is read into one obs::RunTraceModel (obs/trace_model.hpp),
 // which also holds the invariants --check enforces: structural errors (an
@@ -65,8 +67,8 @@ const char* usage_text()
 
 void print_summary(const nautilus::obs::RunTraceModel& model)
 {
-    std::printf("trace: %s (%zu events, %.3f s span)\n", model.path.c_str(), model.lines,
-                model.last_t);
+    std::printf("trace: %s (%zu events, %.3f s span)\n", model.path.c_str(),
+                model.events + model.unparseable, model.last_t);
     std::printf("events by type:\n");
     for (const auto& [type, n] : model.counts)
         std::printf("  %-14s %8llu\n", type.c_str(), static_cast<unsigned long long>(n));
@@ -197,7 +199,7 @@ int main(int argc, char** argv)
             return 1;
         }
         std::printf("trace_inspect: OK (%zu events, %zu runs, accounting consistent)\n",
-                    model.lines, model.runs.size());
+                    model.events, model.runs.size());
         return 0;
     }
 
