@@ -62,9 +62,15 @@ public:
         std::unique_lock lock{mutex_};
         ++calls_;
         bool counted_wait = false;
+        // One probe per pass: try_emplace either claims an in-flight slot for
+        // this thread or finds the existing one.
+        std::optional<Value>* slot = nullptr;
         for (;;) {
-            auto it = cache_.find(genome);
-            if (it == cache_.end()) break;  // miss: this thread computes
+            auto [it, claimed] = cache_.try_emplace(genome);
+            if (claimed) {
+                slot = &it->second;  // miss: this thread computes
+                break;
+            }
             if (it->second) return *it->second;
             // In flight on another thread.  Wait; the slot is erased if that
             // thread's evaluation throws, in which case we retry the miss.
@@ -74,7 +80,6 @@ public:
             }
             ready_.wait(lock);
         }
-        cache_.emplace(genome, std::nullopt);
         ++distinct_;
         if (charged) *charged = true;
         lock.unlock();
@@ -91,7 +96,9 @@ public:
             throw;
         }
         lock.lock();
-        cache_[genome] = result;
+        // Node-based map: the slot survives rehashes by other threads' claims,
+        // and only its owner erases it.
+        *slot = result;
         ready_.notify_all();
         return result;
     }

@@ -19,8 +19,10 @@
 // Accounting invariant (validated by `trace_inspect --check`): every guarded
 // call makes >= 1 attempt, so
 //     attempts == guarded calls (== cache misses) + retries.
-// Outcomes (ok / failed / timed_out, attempt counts, penalty flag) are kept
-// per design point and surfaced through trace events and eval.* counters.
+// Outcomes that did not end ok (failed / timed_out, attempt counts, penalty
+// flag) are kept per design point and surfaced through trace events and
+// eval.* counters; a successful call records nothing, so the guard adds no
+// allocation to a healthy evaluation.
 
 #include <atomic>
 #include <chrono>
@@ -103,7 +105,7 @@ struct FaultCounters {
 // penalties are memoized like ordinary results and repeated requests for a
 // quarantined point are free cache hits.  Thread-safe: concurrent guarded
 // calls (one per distinct in-flight genome, by the cache's dedup contract)
-// only share atomics and a small mutex-protected outcome map.
+// only share atomics and a small mutex-protected map of faulted outcomes.
 template <typename Value>
 class FaultTolerantEvaluator {
 public:
@@ -205,7 +207,8 @@ public:
         return penalty_;
     }
 
-    // Outcome of the guarded call for a design point, if one happened.
+    // Outcome of the last guarded call for a design point that did not end
+    // ok; nullopt for a point whose guarded calls all succeeded.
     std::optional<EvalOutcome> outcome_for(const Genome& genome) const
     {
         std::lock_guard lock{mutex_};
@@ -336,9 +339,12 @@ private:
         return out;
     }
 
+    // Keeps faulted outcomes only: an ok call takes no lock and allocates
+    // nothing.
     void record(std::uint64_t key, const EvalOutcome& outcome, EvalOutcome* out)
     {
         if (out != nullptr) *out = outcome;
+        if (outcome.status == EvalStatus::ok) return;
         std::lock_guard lock{mutex_};
         outcomes_[key] = outcome;
     }
@@ -364,7 +370,7 @@ private:
     AtomicCounters counters_;
     mutable std::mutex mutex_;
     std::vector<std::uint64_t> quarantine_;
-    std::unordered_map<std::uint64_t, EvalOutcome> outcomes_;
+    std::unordered_map<std::uint64_t, EvalOutcome> outcomes_;  // faulted calls only
 
     obs::Instrumentation inst_;
     obs::Counter* m_attempts_ = nullptr;

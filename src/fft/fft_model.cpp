@@ -96,7 +96,7 @@ FftAreaBreakdown fft_area(const FftConfig& c, const synth::FpgaTech& tech)
     return a;
 }
 
-std::vector<synth::TimingPath> fft_paths(const FftConfig& c, const synth::FpgaTech& tech)
+synth::TimingPaths fft_paths(const FftConfig& c, const synth::FpgaTech& tech)
 {
     if (!c.feasible()) throw std::invalid_argument("fft_paths: infeasible configuration");
     const double dw = c.data_width;
@@ -124,7 +124,6 @@ std::vector<synth::TimingPath> fft_paths(const FftConfig& c, const synth::FpgaTe
 synth::DesignDescriptor fft_descriptor(const FftConfig& c, const synth::FpgaTech& tech)
 {
     synth::DesignDescriptor d;
-    d.name = c.to_string();
     d.config_key = c.config_key();
     d.resources = fft_area(c, tech).total();
     d.paths = fft_paths(c, tech);

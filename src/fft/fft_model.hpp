@@ -29,8 +29,8 @@ bool uses_dsp(const FftConfig& config, const synth::FpgaTech& tech);
 
 FftAreaBreakdown fft_area(const FftConfig& config, const synth::FpgaTech& tech);
 
-std::vector<synth::TimingPath> fft_paths(const FftConfig& config,
-                                         const synth::FpgaTech& tech);
+// The butterfly and streaming-memory paths.
+synth::TimingPaths fft_paths(const FftConfig& config, const synth::FpgaTech& tech);
 
 synth::DesignDescriptor fft_descriptor(const FftConfig& config,
                                        const synth::FpgaTech& tech);

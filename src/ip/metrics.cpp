@@ -1,6 +1,7 @@
 #include "ip/metrics.hpp"
 
 #include <array>
+#include <bit>
 #include <stdexcept>
 
 namespace nautilus::ip {
@@ -66,35 +67,27 @@ std::optional<Metric> metric_from_name(const std::string& name)
 
 void MetricValues::set(Metric m, double value)
 {
-    for (auto& [metric, v] : values_) {
-        if (metric == m) {
-            v = value;
-            return;
-        }
-    }
-    values_.emplace_back(m, value);
-}
-
-bool MetricValues::has(Metric m) const
-{
-    for (const auto& [metric, v] : values_)
-        if (metric == m) return true;
-    return false;
+    values_[static_cast<std::size_t>(m)] = value;
+    present_ |= bit(m);
 }
 
 double MetricValues::get(Metric m) const
 {
-    for (const auto& [metric, v] : values_)
-        if (metric == m) return v;
-    throw std::out_of_range(std::string("MetricValues::get: missing metric ") +
-                            metric_name(m));
+    if (!has(m))
+        throw std::out_of_range(std::string("MetricValues::get: missing metric ") +
+                                metric_name(m));
+    return values_[static_cast<std::size_t>(m)];
 }
 
 std::optional<double> MetricValues::try_get(Metric m) const
 {
-    for (const auto& [metric, v] : values_)
-        if (metric == m) return v;
-    return std::nullopt;
+    if (!has(m)) return std::nullopt;
+    return values_[static_cast<std::size_t>(m)];
+}
+
+std::size_t MetricValues::size() const
+{
+    return static_cast<std::size_t>(std::popcount(present_));
 }
 
 MetricValues MetricValues::infeasible_point()

@@ -6,10 +6,11 @@
 // (throughput, SNR, bisection bandwidth) and composite metrics
 // (throughput-per-LUT, area-delay product) -- paper section 4.1.
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/fitness.hpp"
 
@@ -45,24 +46,34 @@ Direction metric_default_direction(Metric m);
 // Parse by name; nullopt for unknown strings.
 std::optional<Metric> metric_from_name(const std::string& name);
 
-// Metric values for one evaluated design point.
+// Metric values for one evaluated design point: one slot per Metric and a
+// presence mask, so setting and reading a value is an index, never an
+// allocation or a search.
 class MetricValues {
 public:
     bool feasible = true;
 
     void set(Metric m, double value);
-    bool has(Metric m) const;
+    bool has(Metric m) const { return (present_ & bit(m)) != 0; }
     // Throws std::out_of_range when absent.
     double get(Metric m) const;
     std::optional<double> try_get(Metric m) const;
 
-    const std::vector<std::pair<Metric, double>>& items() const { return values_; }
+    // Number of metrics present.
+    std::size_t size() const;
 
     // Marks the point infeasible and clears values.
     static MetricValues infeasible_point();
 
 private:
-    std::vector<std::pair<Metric, double>> values_;
+    static std::uint16_t bit(Metric m)
+    {
+        return static_cast<std::uint16_t>(1u << static_cast<unsigned>(m));
+    }
+
+    static_assert(k_metric_count <= 16, "the presence mask holds one bit per metric");
+    std::array<double, k_metric_count> values_{};
+    std::uint16_t present_ = 0;
 };
 
 // Fill in composite metrics from their components when present:

@@ -113,7 +113,7 @@ RouterAreaBreakdown router_area(const RouterConfig& c)
     return a;
 }
 
-std::vector<synth::TimingPath> router_paths(const RouterConfig& c)
+synth::TimingPaths router_paths(const RouterConfig& c)
 {
     const double p = c.num_ports;
     const double v = c.num_vcs;
@@ -134,10 +134,10 @@ std::vector<synth::TimingPath> router_paths(const RouterConfig& c)
     // Per-stage register/control overhead.
     constexpr double stage_overhead = 2.0;
 
-    std::vector<synth::TimingPath> paths;
+    synth::TimingPaths paths;
     const double xbar_fanout = w / 8.0;
-    auto add = [&paths](std::string name, double levels, double fanout) {
-        paths.push_back({std::move(name), levels + stage_overhead, fanout});
+    auto add = [&paths](const char* name, double levels, double fanout) {
+        paths.push_back({name, levels + stage_overhead, fanout});
     };
 
     switch (c.pipeline_stages) {
@@ -177,7 +177,6 @@ std::vector<synth::TimingPath> router_paths(const RouterConfig& c)
 synth::DesignDescriptor router_descriptor(const RouterConfig& c)
 {
     synth::DesignDescriptor d;
-    d.name = c.to_string();
     d.config_key = c.config_key();
     d.resources = router_area(c).total();
     d.paths = router_paths(c);

@@ -29,8 +29,9 @@ struct RouterAreaBreakdown {
 RouterAreaBreakdown router_area(const RouterConfig& config);
 
 // Logic depth of each pipeline stage under the configured pipelining and
-// speculation arrangement.
-std::vector<synth::TimingPath> router_paths(const RouterConfig& config);
+// speculation arrangement: one path per stage, at most four (three stages
+// without speculation split VA and SA).
+synth::TimingPaths router_paths(const RouterConfig& config);
 
 // Full descriptor for the synthesizer.
 synth::DesignDescriptor router_descriptor(const RouterConfig& config);

@@ -120,7 +120,7 @@ std::optional<std::string_view> header_value(std::string_view head, std::string_
 // returning strerror_r; POSIX gives the int-returning one.  Overload
 // dispatch on the actual return type picks the right adapter, so this
 // compiles against either without feature-test-macro gymnastics.
-const char* strerror_adapt(int rc, const char* buf)
+[[maybe_unused]] const char* strerror_adapt(int rc, const char* buf)
 {
     return rc == 0 ? buf : "unknown error";
 }
@@ -315,25 +315,25 @@ HttpResponse ObsHttpServer::respond(std::string_view method, std::string_view ta
     // and a 405 must name the methods that would have worked.
     if (method != "GET" && method != "HEAD")
         return {405, "text/plain; charset=utf-8",
-                "method not allowed (this endpoint is read-only)\n", "GET, HEAD"};
+                "method not allowed (this endpoint is read-only)\n", "GET, HEAD", {}};
 
     if (path == "/logs" && logger_ != nullptr) {
         std::size_t n = 100;
         if (!parse_tail_count(query, n))
             return {400, "text/plain; charset=utf-8",
-                    "bad query: expected n=<decimal count>\n", {}};
-        return {200, "application/json", logger_->tail_json(n) + "\n", {}};
+                    "bad query: expected n=<decimal count>\n", {}, {}};
+        return {200, "application/json", logger_->tail_json(n) + "\n", {}, {}};
     }
 
     const std::string content = body_for(path);
     if (content.empty() && path != "/metrics")
-        return {404, "text/plain; charset=utf-8", "not found\n", {}};
+        return {404, "text/plain; charset=utf-8", "not found\n", {}, {}};
     const char* content_type =
         path == "/status" || path == "/lineage" || path == "/logs"
             ? "application/json"
         : path == "/metrics" ? "text/plain; version=0.0.4; charset=utf-8"
                              : "text/plain; charset=utf-8";
-    return {200, content_type, content, {}};
+    return {200, content_type, content, {}, {}};
 }
 
 void ObsHttpServer::record_request(std::string_view method, std::string_view target,
@@ -386,7 +386,7 @@ void ObsHttpServer::handle_connection(int fd)
         record_request(method, target, r.status, wire.size(), seconds, request_id);
     };
     const auto error = [&](int status, std::string_view message) {
-        finish({status, "text/plain; charset=utf-8", std::string{message}, {}});
+        finish({status, "text/plain; charset=utf-8", std::string{message}, {}, {}});
     };
 
     timeval timeout{};

@@ -35,7 +35,7 @@ std::optional<std::uint64_t> parse_job_id(std::string_view path)
 
 obs::HttpResponse json_response(int status, std::string body)
 {
-    return {status, "application/json", std::move(body), {}};
+    return {status, "application/json", std::move(body), {}, {}};
 }
 
 obs::HttpResponse error_response(int status, std::string_view message,
@@ -44,7 +44,7 @@ obs::HttpResponse error_response(int status, std::string_view message,
     std::string body = "{\"error\":";
     obs::append_json_string(body, message);
     body += "}\n";
-    return {status, "application/json", std::move(body), std::move(allow)};
+    return {status, "application/json", std::move(body), std::move(allow), {}};
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 // whether it is "synthesized" live or looked up from a prebuilt dataset.
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "synth/resources.hpp"
 #include "synth/tech.hpp"
@@ -17,12 +15,12 @@
 
 namespace nautilus::synth {
 
-// Everything a synthesis job needs to know about one design.
+// Everything a synthesis job needs to know about one design.  Plain inline
+// data: describing and synthesizing a design performs no heap allocation.
 struct DesignDescriptor {
-    std::string name;
     std::uint64_t config_key = 0;  // seeds the deterministic noise
     Resources resources;
-    std::vector<TimingPath> paths;
+    TimingPaths paths;
     double toggle_rate = 0.15;  // average switching activity (power model)
 };
 

@@ -6,6 +6,17 @@
 
 namespace nautilus::synth {
 
+TimingPaths::TimingPaths(std::initializer_list<TimingPath> paths)
+{
+    for (const TimingPath& p : paths) push_back(p);
+}
+
+void TimingPaths::push_back(const TimingPath& path)
+{
+    if (size_ == capacity) throw std::length_error("TimingPaths: more than capacity paths");
+    paths_[size_++] = path;
+}
+
 double path_delay_ns(const TimingPath& path, const FpgaTech& tech)
 {
     if (path.logic_levels < 0.0)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <optional>
@@ -96,6 +97,64 @@ TEST(CachingEvaluatorConcurrency, ThrowingEvalAllowsRetryAndChargesOnce)
     EXPECT_EQ(ev.distinct_evaluations(), 0u);  // failed job is not charged
     EXPECT_DOUBLE_EQ(ev.evaluate(g).value, 7.0);
     EXPECT_EQ(ev.distinct_evaluations(), 1u);
+}
+
+TEST(CachingEvaluatorConcurrency, OwnerThrowHandsTheSlotToExactlyOneWaiter)
+{
+    constexpr int k_waiters = 6;
+    std::atomic<int> calls{0};
+    std::atomic<bool> owner_entered{false};
+    CachingEvaluator* memo = nullptr;
+    CachingEvaluator ev{[&](const Genome&) -> Evaluation {
+        if (++calls == 1) {
+            // The owner holds the in-flight slot until every waiter blocks
+            // on it, then fails.
+            owner_entered = true;
+            const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (memo->inflight_waits() < static_cast<std::size_t>(k_waiters) &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            throw std::runtime_error("owner failed");
+        }
+        // The recompute stays in flight long enough for the others to wait
+        // on it in turn.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return Evaluation{true, 7.0};
+    }};
+    memo = &ev;
+
+    const Genome g{{4, 2}};
+    bool owner_threw = false;
+    std::thread owner{[&] {
+        try {
+            ev.evaluate(g);
+        }
+        catch (const std::runtime_error&) {
+            owner_threw = true;
+        }
+    }};
+    while (!owner_entered) std::this_thread::yield();
+
+    std::vector<std::thread> waiters;
+    std::vector<Evaluation> results(k_waiters);
+    std::vector<char> charged(k_waiters, 0);
+    for (int t = 0; t < k_waiters; ++t) {
+        waiters.emplace_back([&, t] {
+            bool c = false;
+            results[t] = ev.evaluate(g, &c);
+            charged[t] = c ? 1 : 0;
+        });
+    }
+    owner.join();
+    for (auto& t : waiters) t.join();
+
+    EXPECT_TRUE(owner_threw);
+    EXPECT_EQ(calls.load(), 2);  // the failed owner and exactly one recompute
+    EXPECT_EQ(std::count(charged.begin(), charged.end(), 1), 1);
+    EXPECT_EQ(ev.distinct_evaluations(), 1u);
+    EXPECT_EQ(ev.total_calls(), static_cast<std::size_t>(k_waiters + 1));
+    EXPECT_EQ(ev.inflight_waits(), static_cast<std::size_t>(k_waiters));
+    for (const auto& r : results) EXPECT_DOUBLE_EQ(r.value, 7.0);
 }
 
 // ---- BatchEvaluator ---------------------------------------------------------

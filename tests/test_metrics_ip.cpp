@@ -40,7 +40,7 @@ TEST(MetricValues, SetGetAndOverwrite)
     EXPECT_DOUBLE_EQ(mv.get(Metric::area_luts), 100.0);
     mv.set(Metric::area_luts, 200.0);
     EXPECT_DOUBLE_EQ(mv.get(Metric::area_luts), 200.0);
-    EXPECT_EQ(mv.items().size(), 1u);
+    EXPECT_EQ(mv.size(), 1u);
 }
 
 TEST(MetricValues, MissingMetricThrowsOrReturnsNullopt)
@@ -54,7 +54,7 @@ TEST(MetricValues, InfeasiblePoint)
 {
     const MetricValues mv = MetricValues::infeasible_point();
     EXPECT_FALSE(mv.feasible);
-    EXPECT_TRUE(mv.items().empty());
+    EXPECT_EQ(mv.size(), 0u);
 }
 
 TEST(DeriveComposites, PeriodFromFrequency)
@@ -96,7 +96,7 @@ TEST(DeriveComposites, SkipsInfeasibleAndZeroDenominators)
 {
     MetricValues infeasible = MetricValues::infeasible_point();
     derive_composites(infeasible);
-    EXPECT_TRUE(infeasible.items().empty());
+    EXPECT_EQ(infeasible.size(), 0u);
 
     MetricValues zero_luts;
     zero_luts.set(Metric::throughput_msps, 10.0);

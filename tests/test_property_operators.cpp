@@ -65,8 +65,12 @@ TEST(PropertyCrossover, ChildrenOnlyEverContainParentGenes)
                 const bool c1_from_a = c1.gene(i) == a.gene(i);
                 const bool c1_from_b = c1.gene(i) == b.gene(i);
                 ASSERT_TRUE(c1_from_a || c1_from_b);
-                if (c1_from_a && !c1_from_b) ASSERT_EQ(c2.gene(i), b.gene(i));
-                if (c1_from_b && !c1_from_a) ASSERT_EQ(c2.gene(i), a.gene(i));
+                if (c1_from_a && !c1_from_b) {
+                    ASSERT_EQ(c2.gene(i), b.gene(i));
+                }
+                if (c1_from_b && !c1_from_a) {
+                    ASSERT_EQ(c2.gene(i), a.gene(i));
+                }
             }
             expect_in_domain(c1, space);
             expect_in_domain(c2, space);
@@ -216,7 +220,9 @@ TEST(PropertyMutation, ValueDistributionIsAProbabilityExcludingCurrent)
             ASSERT_GE(p, 0.0);
             sum += p;
         }
-        if (domain.cardinality() > 1) ASSERT_NEAR(sum, 1.0, 1e-9);
+        if (domain.cardinality() > 1) {
+            ASSERT_NEAR(sum, 1.0, 1e-9);
+        }
     }
 }
 
@@ -267,7 +273,9 @@ TEST(PropertyRepair, RepairedGenomesAreAlwaysCompatibleAndIdempotent)
 
         // Repair counts only actual changes: an already-valid genome
         // reports zero.
-        if (changed == 0) EXPECT_EQ(Genome{genes}.genes(), broken.genes());
+        if (changed == 0) {
+            EXPECT_EQ(Genome{genes}.genes(), broken.genes());
+        }
     }
 }
 

@@ -8,7 +8,6 @@ namespace {
 DesignDescriptor simple_design(double luts = 1000.0, double levels = 6.0)
 {
     DesignDescriptor d;
-    d.name = "test";
     d.config_key = 42;
     d.resources.luts = luts;
     d.resources.ffs = 500.0;
@@ -96,6 +95,22 @@ TEST(Timing, NegativeLevelsRejected)
 {
     const FpgaTech tech = FpgaTech::virtex6_lx760t();
     EXPECT_THROW(path_delay_ns({"bad", -1.0, 4.0}, tech), std::invalid_argument);
+}
+
+TEST(Timing, InlinePathSetHoldsCapacityPathsAndRejectsMore)
+{
+    const FpgaTech tech = FpgaTech::virtex6_lx760t();
+    TimingPaths paths;
+    for (std::size_t i = 0; i < TimingPaths::capacity; ++i)
+        paths.push_back({"p", 2.0 + static_cast<double>(i), 4.0});
+    EXPECT_EQ(paths.size(), TimingPaths::capacity);
+    EXPECT_DOUBLE_EQ(critical_path_ns(paths, tech),
+                     path_delay_ns({"p", 1.0 + TimingPaths::capacity, 4.0}, tech));
+    EXPECT_THROW(paths.push_back({"extra", 1.0, 4.0}), std::length_error);
+    EXPECT_THROW((TimingPaths{{"a", 1, 4}, {"b", 1, 4}, {"c", 1, 4}, {"d", 1, 4}, {"e", 1, 4}}),
+                 std::length_error);
+    paths.clear();
+    EXPECT_TRUE(paths.empty());
 }
 
 TEST(NoiseFactor, DeterministicAndBounded)

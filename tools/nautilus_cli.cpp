@@ -104,6 +104,7 @@
 #include "core/nautilus.hpp"
 #include "exp/experiment.hpp"
 #include "ip/analysis.hpp"
+#include "obs/format.hpp"
 #include "obs/http_server.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -331,14 +332,18 @@ void print_outcome(const serve::JobSpec& spec, const serve::JobRunInputs& inputs
     else if (spec.engine == "nsga2") {
         std::printf("front: %zu points\n", r.front.size());
         for (const serve::FrontEntry& p : r.front) {
-            std::printf("  [");
-            for (std::size_t k = 0; k < p.values.size(); ++k)
-                std::printf("%s%.17g", k == 0 ? "" : ", ", p.values[k]);
-            std::printf("]  %s\n", p.genome.c_str());
+            std::string line = "  [";
+            for (std::size_t k = 0; k < p.values.size(); ++k) {
+                if (k > 0) line += ", ";
+                obs::append_double(line, p.values[k]);
+            }
+            std::printf("%s]  %s\n", line.c_str(), p.genome.c_str());
         }
     }
     else {
-        std::printf("best: %.17g\n", r.best);
+        std::string best;
+        obs::append_double(best, r.best);
+        std::printf("best: %s\n", best.c_str());
         if (!r.best_genome.empty()) std::printf("genome: %s\n", r.best_genome.c_str());
     }
     std::printf("evals: %zu distinct, %zu calls; attempts %llu (retries %llu, failures %llu, "
