@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace nautilus {
@@ -31,11 +32,11 @@ struct BatchEvaluator::Pool {
         for (auto& w : workers) w.join();
     }
 
-    void run(std::size_t count, const std::function<void(std::size_t)>& item)
+    void run(std::size_t count, ItemRef item)
     {
         {
             std::lock_guard lock{mutex};
-            batch_item = &item;
+            batch_item = item;
             batch_size = count;
             next.store(0, std::memory_order_relaxed);
             active = workers.size();
@@ -46,7 +47,7 @@ struct BatchEvaluator::Pool {
         drain(item);  // the caller is a worker too
         std::unique_lock lock{mutex};
         batch_done.wait(lock, [this] { return active == 0; });
-        batch_item = nullptr;
+        batch_item.reset();
         if (error) std::rethrow_exception(error);
     }
 
@@ -55,7 +56,7 @@ private:
     {
         std::size_t seen = 0;
         for (;;) {
-            const std::function<void(std::size_t)>* item = nullptr;
+            std::optional<ItemRef> item;
             {
                 std::unique_lock lock{mutex};
                 work_ready.wait(lock, [&] { return stop || batch_id != seen; });
@@ -71,7 +72,7 @@ private:
         }
     }
 
-    void drain(const std::function<void(std::size_t)>& item)
+    void drain(ItemRef item)
     {
         for (;;) {
             const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -92,7 +93,7 @@ private:
     std::vector<std::thread> workers;
     bool stop = false;
     std::size_t batch_id = 0;
-    const std::function<void(std::size_t)>* batch_item = nullptr;
+    std::optional<ItemRef> batch_item;  // engaged while a batch runs
     std::size_t batch_size = 0;
     std::atomic<std::size_t> next{0};
     std::size_t active = 0;
@@ -109,8 +110,7 @@ BatchEvaluator::~BatchEvaluator()
     delete pool_;
 }
 
-void BatchEvaluator::run_batch(std::size_t count,
-                               const std::function<void(std::size_t)>& item)
+void BatchEvaluator::run_batch(std::size_t count, ItemRef item)
 {
     if (count == 0) return;
     if (pool_ == nullptr || count == 1) {
@@ -177,8 +177,7 @@ void BatchEvaluator::record_wave(const WaveRecord& wave)
 }
 
 void BatchEvaluator::notify_observer(std::span<const Genome> genomes,
-                                     const std::vector<unsigned char>& charged,
-                                     double seconds)
+                                     std::span<const unsigned char> charged, double seconds)
 {
     if (!observer_) return;
     std::vector<Genome> fresh;

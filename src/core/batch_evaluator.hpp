@@ -21,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -73,7 +75,8 @@ public:
         const bool instrumented = inst_.tracing() || inst_.registry() != nullptr;
         const std::size_t waits_before = instrumented ? evaluator.inflight_waits() : 0;
         const auto start = std::chrono::steady_clock::now();
-        std::vector<unsigned char> charged(genomes.size(), 0);
+        charged_.assign(genomes.size(), 0);
+        const std::span<unsigned char> charged{charged_};
         std::atomic<std::uint64_t> busy_ns{0};
         run_batch(genomes.size(), [&](std::size_t i) {
             if (!instrumented) {
@@ -128,6 +131,29 @@ public:
     void reset_timing() { eval_seconds_ = 0.0; }
 
 private:
+    // Non-owning reference to a `void(std::size_t)` callable: one wave's item
+    // body.  Unlike std::function it never allocates; the referenced callable
+    // must outlive the call it is passed to.
+    class ItemRef {
+    public:
+        template <typename F>
+            requires(!std::is_same_v<std::remove_cvref_t<F>, ItemRef> &&
+                     std::is_invocable_v<F&, std::size_t>)
+        ItemRef(F&& f)  // implicit: call sites pass a lambda straight through
+            : object_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+              call_([](void* object, std::size_t i) {
+                  (*static_cast<std::remove_reference_t<F>*>(object))(i);
+              })
+        {
+        }
+
+        void operator()(std::size_t i) const { call_(object_, i); }
+
+    private:
+        void* object_;
+        void (*call_)(void*, std::size_t);
+    };
+
     struct Pool;  // persistent worker threads (absent when workers <= 1)
 
     // One evaluate() call's accounting, for the trace/metrics layer.
@@ -143,10 +169,10 @@ private:
 
     // Run item(0..count-1) across the pool; the caller participates.  The
     // first exception thrown by any item is rethrown once all items finish.
-    void run_batch(std::size_t count, const std::function<void(std::size_t)>& item);
+    void run_batch(std::size_t count, ItemRef item);
 
     void notify_observer(std::span<const Genome> genomes,
-                         const std::vector<unsigned char>& charged, double seconds);
+                         std::span<const unsigned char> charged, double seconds);
 
     void record_wave(const WaveRecord& wave);
 
@@ -154,6 +180,9 @@ private:
     Pool* pool_ = nullptr;
     BatchObserver observer_;
     double eval_seconds_ = 0.0;
+    // Per-wave "this item was charged" flags; reused so a wave allocates
+    // nothing once the buffer has grown to the wave size.
+    std::vector<unsigned char> charged_;
 
     obs::Instrumentation inst_;
     std::size_t wave_seq_ = 0;

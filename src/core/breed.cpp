@@ -72,32 +72,36 @@ void BreedContext::begin_generation(std::size_t generation)
     if (generation_valid_ && generation == generation_) return;
     generation_ = generation;
     generation_valid_ = true;
-    probs_ = gene_mutation_probabilities(space_, hints_, mutation_rate_, generation);
+    gene_mutation_probabilities_into(probs_, space_, hints_, mutation_rate_, generation);
 }
 
 const std::vector<double>& BreedContext::distribution(std::size_t param, std::uint32_t current)
+{
+    return memo_entry(param, current).weights;
+}
+
+const BreedContext::Distribution& BreedContext::memo_entry(std::size_t param,
+                                                           std::uint32_t current)
 {
     if (param >= card_.size())
         throw std::out_of_range("BreedContext::distribution: parameter out of range");
     if (current >= card_[param])
         throw std::invalid_argument("value_distribution: current index out of range");
-    const ParamDomain& domain = space_[param].domain;
-    const ParamHints& h = hints_.param(param);
+    Distribution* slot = &scratch_dist_;
     if (!memo_[param].empty()) {
-        std::vector<double>& slot = memo_[param][current];
-        if (!slot.empty()) {
+        slot = &memo_[param][current];
+        if (!slot->weights.empty()) {
             ++memo_hits_;
-            return slot;
+            return *slot;
         }
-        ++memo_misses_;
-        value_distribution_into(slot, scratch_dir_, scratch_raw_, domain, h,
-                                hints_.confidence(), current);
-        return slot;
     }
     ++memo_misses_;
-    value_distribution_into(scratch_dist_, scratch_dir_, scratch_raw_, domain, h,
-                            hints_.confidence(), current);
-    return scratch_dist_;
+    value_distribution_into(slot->weights, scratch_dir_, scratch_raw_, space_[param].domain,
+                            hints_.param(param), hints_.confidence(), current);
+    // Summed front to back, as Rng::weighted_index(weights) would.
+    slot->total = 0.0;
+    for (const double w : slot->weights) slot->total += w;
+    return *slot;
 }
 
 std::size_t BreedContext::mutate(std::span<std::uint32_t> genes, Rng& rng,
@@ -110,8 +114,8 @@ std::size_t BreedContext::mutate(std::span<std::uint32_t> genes, Rng& rng,
     for (std::size_t i = 0; i < genes.size(); ++i) {
         if (!rng.bernoulli(probs_[i])) continue;
         if (card_[i] <= 1) continue;
-        const std::vector<double>& dist = distribution(i, genes[i]);
-        const std::size_t pick = rng.weighted_index(dist);
+        const Distribution& dist = memo_entry(i, genes[i]);
+        const std::size_t pick = rng.weighted_index(dist.weights, dist.total);
         genes[i] = static_cast<std::uint32_t>(pick);
         ++changed;
         if (stats != nullptr) {

@@ -151,6 +151,17 @@ public:
 private:
     enum class DrawKind : std::uint8_t { uniform, bias, target };
 
+    // One value distribution and its weight sum, so a mutation draw need
+    // not re-sum (or re-validate) weights that never change.
+    struct Distribution {
+        std::vector<double> weights;
+        double total = 0.0;
+    };
+
+    // distribution() plus its total; the reference follows the same
+    // invalidation rule.
+    const Distribution& memo_entry(std::size_t param, std::uint32_t current);
+
     const ParameterSpace& space_;
     const HintSet& hints_;
     double mutation_rate_ = 0.1;
@@ -160,11 +171,12 @@ private:
     std::vector<double> probs_;            // hoisted per-gene mutation probabilities
     std::vector<std::size_t> card_;        // per-param domain cardinality
     std::vector<DrawKind> draw_kind_;      // per-param stats classification
-    // memo_[i][current] caches value_distribution for small domains (empty
-    // vector = not yet computed; computed distributions are never empty since
-    // cardinality >= 2 there).  Large domains fall back to scratch_dist_.
-    std::vector<std::vector<std::vector<double>>> memo_;
-    std::vector<double> scratch_dist_;
+    // memo_[i][current] caches value_distribution and its total for small
+    // domains (empty weights = not yet computed; computed distributions are
+    // never empty since cardinality >= 2 there).  Large domains fall back to
+    // scratch_dist_.
+    std::vector<std::vector<Distribution>> memo_;
+    Distribution scratch_dist_;
     std::vector<double> scratch_dir_;
     std::vector<double> scratch_raw_;
     std::uint64_t memo_hits_ = 0;

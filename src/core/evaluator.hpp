@@ -18,16 +18,18 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/fitness.hpp"
 #include "core/genome.hpp"
+#include "core/genome_table.hpp"
 
 namespace nautilus {
 
@@ -61,24 +63,29 @@ public:
         if (charged) *charged = false;
         std::unique_lock lock{mutex_};
         ++calls_;
-        bool counted_wait = false;
-        // One probe per pass: try_emplace either claims an in-flight slot for
-        // this thread or finds the existing one.
-        std::optional<Value>* slot = nullptr;
-        for (;;) {
-            auto [it, claimed] = cache_.try_emplace(genome);
-            if (claimed) {
-                slot = &it->second;  // miss: this thread computes
-                break;
+        // One probe: find_or_insert either appends an in-flight row for
+        // this thread or finds the existing one.  Row indices are stable,
+        // so the probe is not repeated after a wait.
+        const auto [row, inserted] = table_.find_or_insert(genome.genes());
+        if (inserted) {
+            slots_.emplace_back();
+        }
+        else {
+            bool counted_wait = false;
+            for (;;) {
+                Slot& slot = slots_[row];
+                if (slot.state == State::published) return *slot.value;
+                if (slot.state == State::abandoned) break;  // reclaim: this thread computes
+                // In flight on another thread.  Wait; if that thread's
+                // evaluation throws, the row is abandoned and exactly one
+                // waiter reclaims it.
+                if (!counted_wait) {
+                    ++inflight_waits_;
+                    counted_wait = true;
+                }
+                ready_.wait(lock);
             }
-            if (it->second) return *it->second;
-            // In flight on another thread.  Wait; the slot is erased if that
-            // thread's evaluation throws, in which case we retry the miss.
-            if (!counted_wait) {
-                ++inflight_waits_;
-                counted_wait = true;
-            }
-            ready_.wait(lock);
+            slots_[row].state = State::in_flight;
         }
         ++distinct_;
         if (charged) *charged = true;
@@ -89,16 +96,18 @@ public:
         }
         catch (...) {
             lock.lock();
-            cache_.erase(genome);
+            slots_[row].state = State::abandoned;
             --distinct_;
             if (charged) *charged = false;
             ready_.notify_all();
             throw;
         }
         lock.lock();
-        // Node-based map: the slot survives rehashes by other threads' claims,
-        // and only its owner erases it.
-        *slot = result;
+        // Publish by row index: other threads' inserts may have moved the
+        // slot vector, never renumbered the row.
+        Slot& slot = slots_[row];
+        slot.value = result;
+        slot.state = State::published;
         ready_.notify_all();
         return result;
     }
@@ -130,15 +139,17 @@ public:
     void clear()
     {
         std::lock_guard lock{mutex_};
-        cache_.clear();
+        table_.clear();
+        slots_.clear();
         distinct_ = 0;
         calls_ = 0;
         inflight_waits_ = 0;
     }
 
     // Checkpointable view of the cache: published entries plus the
-    // accounting counters.  Entries are sorted by genome key so snapshots
-    // serialize identically regardless of hash-map iteration order.
+    // accounting counters.  Entries are sorted by genome key (genes break a
+    // key tie) so snapshots serialize identically whatever the insertion
+    // order.
     struct Snapshot {
         std::vector<std::pair<Genome, Value>> entries;
         std::size_t distinct = 0;
@@ -146,16 +157,22 @@ public:
     };
 
     // Must not race with in-flight evaluate() calls (engines snapshot
-    // between evaluation waves; in-flight slots would be lost).
+    // between evaluation waves; in-flight rows would be lost).
     Snapshot snapshot() const
     {
         std::lock_guard lock{mutex_};
         Snapshot snap;
-        snap.entries.reserve(cache_.size());
-        for (const auto& [genome, value] : cache_)
-            if (value) snap.entries.emplace_back(genome, *value);
-        std::sort(snap.entries.begin(), snap.entries.end(),
-                  [](const auto& a, const auto& b) { return a.first.key() < b.first.key(); });
+        snap.entries.reserve(table_.size());
+        for (std::size_t r = 0; r < table_.size(); ++r) {
+            if (slots_[r].state != State::published) continue;
+            const std::span<const std::uint32_t> genes = table_.row(r);
+            snap.entries.emplace_back(Genome{{genes.begin(), genes.end()}}, *slots_[r].value);
+        }
+        std::sort(snap.entries.begin(), snap.entries.end(), [](const auto& a, const auto& b) {
+            const std::uint64_t ka = a.first.key();
+            const std::uint64_t kb = b.first.key();
+            return ka != kb ? ka < kb : a.first.genes() < b.first.genes();
+        });
         snap.distinct = distinct_;
         snap.calls = calls_;
         return snap;
@@ -167,19 +184,37 @@ public:
     void restore(const Snapshot& snap)
     {
         std::lock_guard lock{mutex_};
-        cache_.clear();
-        for (const auto& [genome, value] : snap.entries) cache_[genome] = value;
+        table_.clear();
+        slots_.clear();
+        table_.reserve(snap.entries.size());
+        slots_.reserve(snap.entries.size());
+        for (const auto& [genome, value] : snap.entries) {
+            const auto [row, inserted] = table_.find_or_insert(genome.genes());
+            if (inserted) slots_.emplace_back();
+            slots_[row].value = value;
+            slots_[row].state = State::published;
+        }
         distinct_ = snap.distinct;
         calls_ = snap.calls;
         inflight_waits_ = 0;
     }
 
 private:
+    // A row's life: in_flight when claimed, published once its owner
+    // returns, abandoned when its owner threw (the next caller reclaims it
+    // as a fresh miss).
+    enum class State : std::uint8_t { in_flight, published, abandoned };
+
+    struct Slot {
+        std::optional<Value> value;
+        State state = State::in_flight;
+    };
+
     Fn fn_;
     mutable std::mutex mutex_;
     std::condition_variable ready_;
-    // nullopt marks an in-flight evaluation (claimed but not yet published).
-    std::unordered_map<Genome, std::optional<Value>, GenomeHash> cache_;
+    GenomeTable table_;        // genome -> row
+    std::vector<Slot> slots_;  // by row
     std::size_t distinct_ = 0;
     std::size_t calls_ = 0;
     std::size_t inflight_waits_ = 0;

@@ -147,13 +147,20 @@ public:
     // receives the outcome of this call.
     Value evaluate(const Genome& genome, EvalOutcome* out = nullptr)
     {
-        const std::uint64_t key = genome.key();
+        // The persisted key feeds only the backoff jitter, fault events,
+        // quarantine and outcome records: a first-attempt success never
+        // computes it.
+        std::optional<std::uint64_t> cached_key;
+        const auto key = [&] {
+            if (!cached_key) cached_key = genome.key();
+            return *cached_key;
+        };
         EvalOutcome outcome;
         std::exception_ptr last_error;
         for (std::size_t attempt = 1; attempt <= policy_.retry.max_attempts; ++attempt) {
             if (attempt > 1) {
                 bump(counters_.retries, m_retries_);
-                const double ms = policy_.retry.backoff_before(attempt, key);
+                const double ms = policy_.retry.backoff_before(attempt, key());
                 if (ms > 0.0)
                     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>{ms});
             }
@@ -163,7 +170,7 @@ public:
             if (result.status == EvalStatus::ok) {
                 outcome.status = EvalStatus::ok;
                 outcome.error.clear();
-                record(key, outcome, out);
+                if (out != nullptr) *out = outcome;
                 return std::move(*result.value);
             }
             outcome.status = result.status;
@@ -175,7 +182,7 @@ public:
                 bump(counters_.failures, m_failures_);
             if (inst_.tracing()) {
                 obs::TraceEvent ev{"eval_fault"};
-                ev.add("key", std::size_t{key})
+                ev.add("key", std::size_t{key()})
                     .add("attempt", attempt)
                     .add("status", eval_status_name(result.status))
                     .add("error", outcome.error.c_str());
@@ -184,7 +191,7 @@ public:
         }
         // Attempts exhausted.
         if (!policy_.tolerate_failures) {
-            record(key, outcome, out);
+            record(key(), outcome, out);
             if (last_error) std::rethrow_exception(last_error);
             throw std::runtime_error("FaultTolerantEvaluator: evaluation timed out (" +
                                      outcome.error + ")");
@@ -194,16 +201,16 @@ public:
         bump(counters_.penalties, m_penalties_);
         {
             std::lock_guard lock{mutex_};
-            quarantine_.push_back(key);
+            quarantine_.push_back(key());
         }
         if (inst_.tracing()) {
             obs::TraceEvent ev{"quarantine"};
-            ev.add("key", std::size_t{key})
+            ev.add("key", std::size_t{key()})
                 .add("attempts", outcome.attempts)
                 .add("status", eval_status_name(outcome.status));
             inst_.tracer.emit(std::move(ev));
         }
-        record(key, outcome, out);
+        record(key(), outcome, out);
         return penalty_;
     }
 
@@ -339,12 +346,11 @@ private:
         return out;
     }
 
-    // Keeps faulted outcomes only: an ok call takes no lock and allocates
-    // nothing.
+    // Keeps faulted outcomes only: an ok call never gets here, so it takes
+    // no lock and allocates nothing.
     void record(std::uint64_t key, const EvalOutcome& outcome, EvalOutcome* out)
     {
         if (out != nullptr) *out = outcome;
-        if (outcome.status == EvalStatus::ok) return;
         std::lock_guard lock{mutex_};
         outcomes_[key] = outcome;
     }

@@ -55,7 +55,9 @@ public:
     // True if every gene index is within its domain's cardinality.
     bool compatible_with(const ParameterSpace& space) const;
 
-    // Stable 64-bit key for caching.
+    // Stable 64-bit key: the persisted identity of a design point in the
+    // store, checkpoints, quarantine lists and traces.  In-process tables
+    // hash with GenomeTable::hash instead (core/genome_table.hpp).
     std::uint64_t key() const;
 
     // "vcs=4 depth=16 width=64 ..." rendering for logs and examples.
@@ -65,10 +67,6 @@ public:
 
 private:
     std::vector<std::uint32_t> genes_;
-};
-
-struct GenomeHash {
-    std::size_t operator()(const Genome& g) const { return static_cast<std::size_t>(g.key()); }
 };
 
 }  // namespace nautilus

@@ -76,38 +76,50 @@ void add_target_weights(std::vector<double>& w, std::vector<double>& raw, std::s
 
 }  // namespace
 
-std::vector<double> gene_mutation_probabilities(const ParameterSpace& space,
-                                                const HintSet& hints, double mutation_rate,
-                                                std::size_t generation)
+void gene_mutation_probabilities_into(std::vector<double>& probs, const ParameterSpace& space,
+                                      const HintSet& hints, double mutation_rate,
+                                      std::size_t generation)
 {
     if (hints.size() != space.size())
         throw std::invalid_argument("gene_mutation_probabilities: hints/space size mismatch");
     if (mutation_rate < 0.0 || mutation_rate > 1.0)
         throw std::invalid_argument("gene_mutation_probabilities: mutation_rate out of [0, 1]");
     const std::size_t n = space.size();
-    std::vector<double> probs(n, mutation_rate);
-    if (n == 0) return probs;
+    probs.assign(n, mutation_rate);
+    if (n == 0) return;
 
     const double c = hints.confidence();
-    if (c == 0.0) return probs;
+    if (c == 0.0) return;
 
+    // probs holds the effective importances until the skew pass below
+    // overwrites each entry with its rate.
     double total_importance = 0.0;
-    std::vector<double> imp(n);
     for (std::size_t i = 0; i < n; ++i) {
-        imp[i] = hints.effective_importance(i, generation);
-        total_importance += imp[i];
+        probs[i] = hints.effective_importance(i, generation);
+        total_importance += probs[i];
     }
-    if (total_importance <= 0.0) return probs;
+    if (total_importance <= 0.0) {
+        probs.assign(n, mutation_rate);
+        return;
+    }
 
     for (std::size_t i = 0; i < n; ++i) {
         // Normalized importance with mean 1 preserves the expected number of
         // mutations per genome; confidence blends toward it.  A floor keeps
         // "unimportant" genes mutating occasionally so hint errors cannot
         // freeze part of the space (paper footnote 1).
-        const double skew = imp[i] * static_cast<double>(n) / total_importance;
+        const double skew = probs[i] * static_cast<double>(n) / total_importance;
         const double blended = std::max((1.0 - c) + c * skew, k_min_rate_factor);
         probs[i] = std::clamp(mutation_rate * blended, 0.0, k_max_gene_rate);
     }
+}
+
+std::vector<double> gene_mutation_probabilities(const ParameterSpace& space,
+                                                const HintSet& hints, double mutation_rate,
+                                                std::size_t generation)
+{
+    std::vector<double> probs;
+    gene_mutation_probabilities_into(probs, space, hints, mutation_rate, generation);
     return probs;
 }
 

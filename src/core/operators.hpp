@@ -46,11 +46,18 @@ struct MutationStats {
 // skewed by (blended) normalized effective importance, preserving the mean
 // so the overall mutation pressure matches the baseline.  Capped at 0.95.
 // `hints` must be direction-folded and sized like `space`; mutation_rate
-// must lie in [0, 1].  BreedContext hoists this once per generation; the
-// mutation itself is BreedContext::mutate (core/breed.hpp).
+// must lie in [0, 1].  BreedContext hoists it once per generation through
+// the _into variant; the mutation itself is BreedContext::mutate
+// (core/breed.hpp).
 std::vector<double> gene_mutation_probabilities(const ParameterSpace& space,
                                                 const HintSet& hints, double mutation_rate,
                                                 std::size_t generation);
+
+// Allocation-free variant: writes the probabilities into `probs` (resized
+// to the parameter count).  gene_mutation_probabilities wraps it.
+void gene_mutation_probabilities_into(std::vector<double>& probs, const ParameterSpace& space,
+                                      const HintSet& hints, double mutation_rate,
+                                      std::size_t generation);
 
 // Probability distribution over the value indices a mutating gene may take,
 // given its current value.  The current index always gets probability 0 (a

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "core/eval_pipeline.hpp"
 #include "core/genome.hpp"
+#include "core/genome_table.hpp"
 
 namespace nautilus {
 
@@ -58,7 +58,7 @@ Curve RandomSearch::run(std::uint64_t seed, EvalTotals* totals) const
     const std::size_t max_draws = config_.max_distinct_evals * 50;
     std::size_t draws = 0;
     std::size_t distinct = 0;  // tracks evaluator state in draw order
-    std::unordered_set<Genome, GenomeHash> seen;
+    GenomeTable seen;
     std::vector<Genome> wave;
     std::vector<Evaluation> evals;
     while (draws < max_draws && distinct < config_.max_distinct_evals) {
@@ -70,7 +70,7 @@ Curve RandomSearch::run(std::uint64_t seed, EvalTotals* totals) const
         evals.assign(chunk, Evaluation{});
         pipeline.evaluate_wave(wave, evals);
         for (std::size_t i = 0; i < chunk; ++i) {
-            if (!seen.insert(wave[i]).second) continue;  // revisit, free
+            if (!seen.find_or_insert(wave[i].genes()).second) continue;  // revisit, free
             ++distinct;
             if (!evals[i].feasible) continue;
             if (!have_best || no_worse(evals[i].value, best, direction_)) {

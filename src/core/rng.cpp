@@ -122,6 +122,11 @@ std::size_t Rng::weighted_index(std::span<const double> weights)
         if (w < 0.0) throw std::invalid_argument("Rng::weighted_index: negative weight");
         total += w;
     }
+    return weighted_index(weights, total);
+}
+
+std::size_t Rng::weighted_index(std::span<const double> weights, double total)
+{
     if (total <= 0.0) throw std::invalid_argument("Rng::weighted_index: zero total weight");
     double draw = uniform() * total;
     for (std::size_t i = 0; i < weights.size(); ++i) {

@@ -60,6 +60,12 @@ public:
     // Requires at least one strictly positive weight.
     std::size_t weighted_index(std::span<const double> weights);
 
+    // The same draw over weights whose `total` the caller already holds:
+    // summed front to back as weighted_index(weights) sums them, so both
+    // overloads return the same index from the same state.  Skips the
+    // per-weight validation; throws only when total <= 0.
+    std::size_t weighted_index(std::span<const double> weights, double total);
+
     // Derive an independent child generator (for parallel or nested use).
     Rng split();
 

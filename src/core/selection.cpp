@@ -30,8 +30,13 @@ void rank_order_into(std::vector<std::size_t>& order, std::span<const double> fi
 {
     order.resize(fitness.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) { return fitness[a] > fitness[b]; });
+    // In place, so no merge buffer is allocated per generation: ordering by
+    // (fitness, index) leaves no ties, so the unstable sort yields exactly
+    // the stable order.  (libstdc++ sorts 16 or fewer entries by plain
+    // insertion, which covers the paper's population of 10.)
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return fitness[a] > fitness[b] || (fitness[a] == fitness[b] && a < b);
+    });
 }
 
 namespace {
@@ -60,9 +65,11 @@ void SelectionTable::rebuild(std::span<const double> fitness, const SelectionCon
         // 2 - pressure, interpolating linearly.
         const double pressure = config_.rank_pressure;
         weights_.resize(n_);
+        total_ = 0.0;
         for (std::size_t r = 0; r < n_; ++r) {
             const double frac = static_cast<double>(r) / static_cast<double>(n_ - 1);
             weights_[r] = pressure + ((2.0 - pressure) - pressure) * frac;
+            total_ += weights_[r];
         }
         break;
     }
@@ -86,8 +93,11 @@ void SelectionTable::rebuild(std::span<const double> fitness, const SelectionCon
         const double span = hi - lo;
         const double floor_weight = span > 0.0 ? span * k_roulette_floor : 1.0;
         weights_.assign(n_, 0.0);
-        for (std::size_t i = 0; i < n_; ++i)
+        total_ = 0.0;
+        for (std::size_t i = 0; i < n_; ++i) {
             if (std::isfinite(fitness[i])) weights_[i] = (fitness[i] - lo) + floor_weight;
+            total_ += weights_[i];
+        }
         break;
     }
     }
@@ -99,7 +109,7 @@ std::size_t SelectionTable::select(Rng& rng) const
     switch (config_.kind) {
     case SelectionKind::rank: {
         if (n_ == 1) return 0;
-        const std::size_t pick = rng.weighted_index(weights_);
+        const std::size_t pick = rng.weighted_index(weights_, total_);
         return order_[pick];
     }
     case SelectionKind::tournament: {
@@ -112,7 +122,7 @@ std::size_t SelectionTable::select(Rng& rng) const
     }
     case SelectionKind::roulette:
         if (uniform_fallback_) return rng.index(n_);
-        return rng.weighted_index(weights_);
+        return rng.weighted_index(weights_, total_);
     }
     throw std::logic_error("selection: unknown selection kind");
 }

@@ -48,6 +48,7 @@ private:
     std::size_t n_ = 0;
     std::vector<std::size_t> order_;   // rank: population sorted best-first
     std::vector<double> weights_;      // rank / roulette pick weights
+    double total_ = 0.0;               // their sum, in weighted_index's order
     std::vector<double> fitness_;      // tournament comparisons
     bool uniform_fallback_ = false;    // roulette: whole population infeasible
 };
@@ -55,7 +56,8 @@ private:
 // Indices of `fitness` sorted best-first (ties broken by lower index).
 std::vector<std::size_t> rank_order(std::span<const double> fitness);
 
-// Buffer-reusing variant for per-generation callers (core/breed.hpp).
+// Buffer-reusing variant for per-generation callers (core/breed.hpp): sorts
+// in place, allocating nothing once `order` has the capacity.
 void rank_order_into(std::vector<std::size_t>& order, std::span<const double> fitness);
 
 }  // namespace nautilus

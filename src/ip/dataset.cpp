@@ -4,12 +4,12 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "core/genome_table.hpp"
 #include "core/rng.hpp"
 
 namespace nautilus::ip {
@@ -38,12 +38,16 @@ Dataset Dataset::sample(const IpGenerator& generator, std::size_t count, std::ui
         throw std::invalid_argument("Dataset::sample: count exceeds space cardinality");
     Dataset ds;
     ds.entries_.reserve(count);
-    std::unordered_set<std::uint64_t> seen;
+    // Exact de-duplication: two distinct points are never merged, even if
+    // their 64-bit keys collide.
+    GenomeTable seen;
+    seen.reset(generator.space().size());
+    seen.reserve(count);
     Rng rng{seed};
     const std::size_t max_draws = count * 50 + 1000;
     for (std::size_t draw = 0; draw < max_draws && ds.entries_.size() < count; ++draw) {
         Genome g = Genome::random(generator.space(), rng);
-        if (!seen.insert(g.key()).second) continue;
+        if (!seen.find_or_insert(g.genes()).second) continue;
         MetricValues v = generator.evaluate(g);
         ds.entries_.push_back({std::move(g), std::move(v)});
     }
@@ -145,20 +149,29 @@ double Dataset::hit_fraction(Metric metric, Direction dir, double value) const
 
 EvalFn Dataset::lookup_eval(Metric metric, EvalFn fallback) const
 {
-    // Build the index once, shared by all copies of the returned closure.
-    auto index = std::make_shared<std::unordered_map<Genome, Evaluation, GenomeHash>>();
-    index->reserve(entries_.size());
+    // Build the index once, shared by all copies of the returned closure:
+    // the table maps a genome to its row, `evals` holds each row's value.
+    struct Index {
+        GenomeTable table;
+        std::vector<Evaluation> evals;
+    };
+    auto index = std::make_shared<Index>();
+    if (!entries_.empty()) index->table.reset(entries_.front().genome.size());
+    index->table.reserve(entries_.size());
+    index->evals.reserve(entries_.size());
     for (const auto& e : entries_) {
         Evaluation eval{false, 0.0};
         if (e.values.feasible) {
             const auto v = e.values.try_get(metric);
             if (v) eval = Evaluation{true, *v};
         }
-        index->emplace(e.genome, eval);
+        // A repeated genome keeps its first entry's value.
+        if (index->table.find_or_insert(e.genome.genes()).second) index->evals.push_back(eval);
     }
-    return [index, fallback](const Genome& g) -> Evaluation {
-        const auto it = index->find(g);
-        if (it != index->end()) return it->second;
+    return [index = std::shared_ptr<const Index>{std::move(index)},
+            fallback](const Genome& g) -> Evaluation {
+        const std::uint32_t row = index->table.find(g.genes());
+        if (row != GenomeTable::npos) return index->evals[row];
         if (fallback) return fallback(g);
         return Evaluation{false, 0.0};
     };

@@ -24,6 +24,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -48,18 +50,19 @@ struct TraceEvent {
         fields.emplace_back(std::string{key}, std::move(value));
         return *this;
     }
-    // Convenience overloads so call sites don't need explicit casts.
+    // Convenience overloads so call sites don't need explicit casts.  They
+    // construct the value in place, with no temporary variant to move from.
     TraceEvent& add(std::string_view key, std::size_t value)
     {
-        return add(key, FieldValue{static_cast<std::uint64_t>(value)});
+        return add_as<std::uint64_t>(key, value);
     }
     TraceEvent& add(std::string_view key, int value)
     {
-        return add(key, FieldValue{static_cast<std::int64_t>(value)});
+        return add_as<std::int64_t>(key, value);
     }
     TraceEvent& add(std::string_view key, const char* value)
     {
-        return add(key, FieldValue{std::string{value}});
+        return add_as<std::string>(key, value);
     }
 
     // First field with this key, if any.
@@ -69,6 +72,15 @@ struct TraceEvent {
     std::optional<double> number(std::string_view key) const;
     std::optional<std::uint64_t> unsigned_int(std::string_view key) const;
     std::optional<std::string> string(std::string_view key) const;
+
+private:
+    template <typename T, typename V>
+    TraceEvent& add_as(std::string_view key, V value)
+    {
+        fields.emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                            std::forward_as_tuple(std::in_place_type<T>, value));
+        return *this;
+    }
 };
 
 // One JSON object on one line, no trailing newline.

@@ -40,10 +40,15 @@ obs::Instrumentation instrumentation_for(const JobRunInputs& inputs)
     inst.metrics = inputs.metrics;
     // Server jobs tag run_start with their identity so one grep on a
     // request id joins the trace against the access and server logs.
+    // Each tag's value is constructed in place rather than moved from a
+    // temporary variant.
+    const auto tag = [&inst](const char* key, std::uint64_t value) {
+        inst.run_tags.emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                                   std::forward_as_tuple(std::in_place_type<std::uint64_t>, value));
+    };
     if (inputs.job_id != 0) {
-        inst.run_tags.emplace_back("job_id", obs::FieldValue{inputs.job_id});
-        if (inputs.request_id != 0)
-            inst.run_tags.emplace_back("request_id", obs::FieldValue{inputs.request_id});
+        tag("job_id", inputs.job_id);
+        if (inputs.request_id != 0) tag("request_id", inputs.request_id);
     }
     return inst;
 }

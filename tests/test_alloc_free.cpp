@@ -3,8 +3,10 @@
 // This binary replaces the global operator new with a counting one, so it
 // is kept apart from nautilus_tests.  Each test warms its path up, then
 // asserts that a further batch of calls allocates nothing: one call on the
-// live router and FFT models, a successful guarded call, and a memo hit.
-// Counting allocations, unlike timing them, does not depend on host speed.
+// live router and FFT models, a successful guarded call, a memo hit and a
+// dataset lookup.  A whole GA run is held to allocations that do not grow
+// with its generation count.  Counting allocations, unlike timing them,
+// does not depend on host speed.
 
 #include <cstddef>
 #include <cstdlib>
@@ -16,8 +18,10 @@
 
 #include "core/evaluator.hpp"
 #include "core/fault.hpp"
+#include "core/ga.hpp"
 #include "core/rng.hpp"
 #include "fft/fft_generator.hpp"
+#include "ip/dataset.hpp"
 #include "noc/router_generator.hpp"
 
 namespace {
@@ -153,6 +157,40 @@ TEST(AllocationFree, MemoHit)
     CachingEvaluator memo{router.metric_eval(Metric::area_luts)};
     const EvalFn cached = [&](const Genome& g) { return memo.evaluate(g); };
     EXPECT_EQ(steady_state_allocations(cached, points, points), 0u);
+}
+
+TEST(AllocationFree, DatasetLookupCall)
+{
+    const fft::FftGenerator fft{synth::FpgaTech::virtex6_lx760t(), /*measure_snr=*/false};
+    const ip::Dataset dataset = ip::Dataset::enumerate(fft);
+    const std::vector<Genome> points = random_points(fft.space(), 500);
+    EXPECT_EQ(fresh_point_allocations(dataset.lookup_eval(Metric::area_luts), points), 0u);
+}
+
+// Allocations of one untraced, single-worker router run of `generations`.
+std::size_t ga_run_allocations(std::size_t generations)
+{
+    const noc::RouterGenerator router;
+    GaConfig config;
+    config.generations = generations;
+    const GaEngine engine{router.space(), config, Direction::maximize,
+                          router.metric_eval(Metric::freq_mhz),
+                          router.author_hints(Metric::freq_mhz)};
+    std::size_t distinct = 0;
+    const std::size_t n = allocations_in([&] { distinct = engine.run(7).distinct_evals; });
+    EXPECT_GT(distinct, generations);  // the memo kept growing throughout
+    return n;
+}
+
+// Doubling the generations may add only the geometric growth of the run's
+// tables (memo rows, history, curve): a generation itself -- evaluate wave,
+// statistics, selection, breeding -- allocates nothing.
+TEST(AllocationFree, GaRunDoesNotAllocatePerGeneration)
+{
+    const std::size_t short_run = ga_run_allocations(80);
+    const std::size_t long_run = ga_run_allocations(160);
+    EXPECT_LE(long_run, short_run + 16) << "80 generations: " << short_run
+                                        << " allocations, 160 generations: " << long_run;
 }
 
 }  // namespace

@@ -60,6 +60,18 @@ TEST(Dataset, SampleDrawsDistinctPoints)
     EXPECT_EQ(keys.size(), 20u);
 }
 
+// De-duplication compares whole genomes, not 64-bit keys: asking for the
+// whole space returns every point exactly once.
+TEST(Dataset, SampleOfTheWholeSpaceYieldsEveryPointOnce)
+{
+    const GridGenerator gen;
+    const Dataset ds = Dataset::sample(gen, 40, 3);
+    ASSERT_EQ(ds.size(), 40u);
+    std::vector<int> seen(40, 0);
+    for (const auto& e : ds) ++seen[e.genome.to_rank(gen.space())];
+    for (std::size_t rank = 0; rank < seen.size(); ++rank) EXPECT_EQ(seen[rank], 1) << rank;
+}
+
 TEST(Dataset, SampleRejectsOversizedRequest)
 {
     const GridGenerator gen;

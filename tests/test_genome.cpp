@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/genome_table.hpp"
+
 #include <set>
 
 namespace nautilus {
@@ -121,7 +123,8 @@ TEST(Genome, EqualityAndHashAgree)
     Genome a{{1, 2, 3}};
     Genome b{{1, 2, 3}};
     EXPECT_EQ(a, b);
-    EXPECT_EQ(GenomeHash{}(a), GenomeHash{}(b));
+    EXPECT_EQ(a.key(), b.key());
+    EXPECT_EQ(GenomeTable::hash(a.genes()), GenomeTable::hash(b.genes()));
 }
 
 TEST(Genome, ToStringListsAllParameters)

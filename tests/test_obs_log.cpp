@@ -205,7 +205,7 @@ TEST(ObsLogConcurrency, ManyWritersOneScraperNeverSurfaceTornRecords)
             for (std::uint64_t i = 0; i < kPerWriter; ++i) {
                 TraceEvent ev{"tick"};
                 ev.add("writer", w);
-                ev.add("n", FieldValue{i});
+                ev.add("n", i);
                 logger.log(LogLevel::info, std::move(ev));
             }
         });

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "core/eval_pipeline.hpp"
 #include "core/genome.hpp"
+#include "noc/router_generator.hpp"
 
 namespace nautilus {
 namespace {
@@ -55,6 +59,39 @@ TEST(RandomSearch, CurveIsMonotoneImproving)
     for (const auto& p : c.points()) {
         EXPECT_GE(p.best, prev);
         prev = p.best;
+    }
+}
+
+// Curves and totals of seeded router runs, pinned as an FNV-1a digest
+// taken before revisits were detected through GenomeTable: exact
+// de-duplication leaves every draw, curve point and count unchanged, at
+// any worker count.
+TEST(RandomSearch, RouterRunsMatchTheirPinnedDigest)
+{
+    const auto fnv = [](std::uint64_t h, std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+        return h;
+    };
+    const noc::RouterGenerator router;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        RandomSearchConfig cfg;
+        cfg.max_distinct_evals = 300;
+        cfg.eval_workers = workers;
+        const RandomSearch rs{router.space(), cfg, Direction::maximize,
+                              router.metric_eval(ip::Metric::freq_mhz)};
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (const std::uint64_t seed : {1, 2, 3}) {
+            EvalTotals totals;
+            const Curve c = rs.run(seed, &totals);
+            h = fnv(h, c.points().size());
+            for (const auto& p : c.points()) {
+                h = fnv(h, std::bit_cast<std::uint64_t>(p.evals));
+                h = fnv(h, std::bit_cast<std::uint64_t>(p.best));
+            }
+            h = fnv(h, totals.distinct_evals);
+            h = fnv(h, totals.total_eval_calls);
+        }
+        EXPECT_EQ(h, 0x3354d2e8b85175e1ull) << workers << " workers";
     }
 }
 

@@ -219,6 +219,28 @@ TEST(Rng, WeightedIndexRejectsBadWeights)
     EXPECT_THROW(r.weighted_index(zeros), std::invalid_argument);
 }
 
+// The cached-total overload draws exactly what the summing one draws, from
+// the same generator state, when the total is summed front to back.
+TEST(Rng, WeightedIndexWithTotalMatchesSummingOverload)
+{
+    Rng weights_rng{61};
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> weights(1 + weights_rng.index(12));
+        for (double& w : weights) w = weights_rng.bernoulli(0.2) ? 0.0 : weights_rng.uniform();
+        weights[weights_rng.index(weights.size())] = 0.5;  // at least one positive
+        double total = 0.0;
+        for (const double w : weights) total += w;
+        Rng a{static_cast<std::uint64_t>(trial)};
+        Rng b{static_cast<std::uint64_t>(trial)};
+        for (int draw = 0; draw < 50; ++draw)
+            ASSERT_EQ(a.weighted_index(weights), b.weighted_index(weights, total));
+        EXPECT_EQ(a.state(), b.state());
+    }
+    Rng r{67};
+    const std::vector<double> zeros{0.0, 0.0};
+    EXPECT_THROW(r.weighted_index(zeros, 0.0), std::invalid_argument);
+}
+
 TEST(Rng, SplitProducesIndependentStream)
 {
     Rng a{61};

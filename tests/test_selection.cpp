@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 namespace nautilus {
@@ -27,6 +29,33 @@ TEST(RankOrder, SortsBestFirstStably)
     const std::vector<double> fitness{1.0, 5.0, 3.0, 5.0};
     const auto order = rank_order(fitness);
     EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 2, 0}));
+}
+
+// rank_order_into sorts in place by (fitness, index) and must order exactly
+// as a stable sort by fitness would.  Seeded vectors with many ties and both
+// infinities, small and large.  NaN is left out: `>` does not order it.
+TEST(RankOrder, InPlaceOrderEqualsStableSort)
+{
+    Rng rng{0x0de5};
+    std::vector<std::size_t> order;
+    for (const std::size_t n : {0, 1, 2, 3, 7, 10, 31, 32, 33, 64, 200}) {
+        for (int trial = 0; trial < 25; ++trial) {
+            std::vector<double> fitness(n);
+            for (double& f : fitness) {
+                switch (rng.index(6)) {
+                case 0: f = k_inf; break;
+                case 1: f = -k_inf; break;
+                default: f = static_cast<double>(rng.index(5)) - 2.0; break;  // ties
+                }
+            }
+            std::vector<std::size_t> expected(n);
+            std::iota(expected.begin(), expected.end(), std::size_t{0});
+            std::stable_sort(expected.begin(), expected.end(),
+                             [&](std::size_t a, std::size_t b) { return fitness[a] > fitness[b]; });
+            rank_order_into(order, fitness);
+            ASSERT_EQ(order, expected) << "n=" << n << " trial=" << trial;
+        }
+    }
 }
 
 TEST(SelectParent, EmptyPopulationThrows)
