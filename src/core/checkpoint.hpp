@@ -37,13 +37,25 @@ namespace nautilus {
 // rejected rather than silently resumed without their birth records.
 inline constexpr std::uint32_t k_checkpoint_version = 2;
 
-// Single-objective GA run state, captured at "about to evaluate generation
-// `generation`".
-struct GaCheckpoint {
+// What every checkpoint holds: the run's identity and position, its RNG
+// stream and the evaluation state (EvalPipeline::snapshot) -- captured at
+// "about to run generation `generation`".
+template <typename Value>
+struct CheckpointBase {
     std::uint64_t config_hash = 0;
     std::uint64_t seed = 0;
-    std::size_t generation = 0;  // next generation to evaluate
+    std::size_t generation = 0;  // next generation to run
     std::array<std::uint64_t, 4> rng_state{};
+
+    std::vector<std::pair<Genome, Value>> cache;
+    std::size_t distinct = 0;
+    std::size_t calls = 0;
+    std::vector<std::uint64_t> quarantine;
+    FaultCounters fault;
+};
+
+// Single-objective GA run state.
+struct GaCheckpoint : CheckpointBase<Evaluation> {
     std::vector<Genome> population;
 
     // Engine bookkeeping through generation - 1.
@@ -55,39 +67,19 @@ struct GaCheckpoint {
     double best_so_far = 0.0;
     std::size_t stall = 0;
 
-    // Evaluator state.
-    std::vector<std::pair<Genome, Evaluation>> cache;
-    std::size_t distinct = 0;
-    std::size_t calls = 0;
-    std::vector<std::uint64_t> quarantine;
-    FaultCounters fault;
-
     // Lineage recorder state (present only when the interrupted run was
     // recording; a resume without it falls back to op=resume roots).
     bool have_lineage = false;
     obs::LineageState lineage;
 };
 
-// NSGA-II run state, captured at the top of the generation loop.
-struct Nsga2Checkpoint {
-    using MultiValue = std::optional<std::vector<double>>;
-
-    std::uint64_t config_hash = 0;
-    std::uint64_t seed = 0;
-    std::size_t generation = 0;
+// NSGA-II run state.
+struct Nsga2Checkpoint : CheckpointBase<std::optional<std::vector<double>>> {
     std::size_t objectives = 0;
-    std::array<std::uint64_t, 4> rng_state{};
-
     std::vector<Genome> population;
     std::vector<std::vector<double>> population_values;
     std::vector<Genome> archive;
     std::vector<std::vector<double>> archive_values;
-
-    std::vector<std::pair<Genome, MultiValue>> cache;
-    std::size_t distinct = 0;
-    std::size_t calls = 0;
-    std::vector<std::uint64_t> quarantine;
-    FaultCounters fault;
 };
 
 // Atomically write `cp` to `path` (via "<path>.tmp" + rename).  Throws

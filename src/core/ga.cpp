@@ -8,30 +8,19 @@
 
 #include "core/breed.hpp"
 #include "core/checkpoint.hpp"
-#include "core/eval_pipeline.hpp"
+#include "core/run_scope.hpp"
 
 namespace nautilus {
 
 void GaConfig::validate() const
 {
-    if (population_size < 2)
-        throw std::invalid_argument("GaConfig: population_size must be >= 2");
-    if (generations == 0) throw std::invalid_argument("GaConfig: generations must be >= 1");
-    if (mutation_rate < 0.0 || mutation_rate > 1.0)
-        throw std::invalid_argument("GaConfig: mutation_rate out of [0, 1]");
-    if (crossover_rate < 0.0 || crossover_rate > 1.0)
-        throw std::invalid_argument("GaConfig: crossover_rate out of [0, 1]");
+    GenerationalConfig::validate("GaConfig", 2);
     if (elitism >= population_size)
         throw std::invalid_argument("GaConfig: elitism must be < population_size");
     if (selection.rank_pressure < 1.0 || selection.rank_pressure > 2.0)
         throw std::invalid_argument("GaConfig: rank_pressure out of [1, 2]");
     if (selection.tournament_size == 0)
         throw std::invalid_argument("GaConfig: tournament_size must be >= 1");
-    if (eval_workers == 0)
-        throw std::invalid_argument("GaConfig: eval_workers must be >= 1");
-    fault.validate();
-    if (halt_at_generation != 0 && checkpoint_path.empty())
-        throw std::invalid_argument("GaConfig: halt_at_generation requires checkpoint_path");
 }
 
 void GaEngine::seed_population(std::vector<Genome> seeds)
@@ -46,16 +35,9 @@ void GaEngine::seed_population(std::vector<Genome> seeds)
 
 GaEngine::GaEngine(const ParameterSpace& space, GaConfig config, Direction direction,
                    EvalFn eval, HintSet hints)
-    : space_(space),
-      config_(config),
-      direction_(direction),
-      eval_(std::move(eval)),
-      hints_(std::move(hints))
+    : EngineShell{"GaEngine", space, std::move(config), direction, std::move(eval),
+                  std::move(hints)}
 {
-    if (space_.empty()) throw std::invalid_argument("GaEngine: empty parameter space");
-    if (!eval_) throw std::invalid_argument("GaEngine: null evaluation function");
-    config_.validate();
-    hints_.validate(space_);
 }
 
 RunResult GaEngine::run() const
@@ -70,14 +52,7 @@ RunResult GaEngine::run(std::uint64_t seed) const
 
 std::uint64_t GaEngine::config_fingerprint(std::uint64_t seed) const
 {
-    std::uint64_t h = 0x6e6175746975ull;  // "nautiu" tag
-    h = hash_combine(h, space_.size());
-    for (const Parameter& p : space_) h = hash_combine(h, p.domain.cardinality());
-    h = hash_combine(h, config_.population_size);
-    h = hash_combine(h, config_.generations);
-    h = hash_combine(h, std::bit_cast<std::uint64_t>(config_.mutation_rate));
-    h = hash_combine(h, std::bit_cast<std::uint64_t>(config_.crossover_rate));
-    h = hash_combine(h, static_cast<std::uint64_t>(config_.crossover));
+    std::uint64_t h = config_.fingerprint(0x6e6175746975ull, space_);  // "nautiu" tag
     h = hash_combine(h, static_cast<std::uint64_t>(config_.selection.kind));
     h = hash_combine(h, std::bit_cast<std::uint64_t>(config_.selection.rank_pressure));
     h = hash_combine(h, config_.selection.tournament_size);
@@ -99,26 +74,17 @@ std::uint64_t GaEngine::config_fingerprint(std::uint64_t seed) const
 RunResult GaEngine::resume(const std::string& checkpoint_path) const
 {
     const GaCheckpoint cp = load_ga_checkpoint(checkpoint_path);
-    if (cp.config_hash != config_fingerprint(cp.seed))
-        throw std::runtime_error(
-            "GaEngine::resume: checkpoint " + checkpoint_path +
-            " was written with a different space/config/hints/seed");
+    check_resume(cp.config_hash == config_fingerprint(cp.seed), "GaEngine", checkpoint_path);
     return run_impl(cp.seed, &cp);
 }
 
 RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) const
 {
     Rng rng{seed};
-    EvalPipeline<Evaluation> pipeline{eval_, config_};
-    const obs::Tracer& tracer = config_.obs.tracer;
-    obs::Counter* m_generations = nullptr;
-    obs::Counter* m_checkpoints = nullptr;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) {
-        reg->counter("ga.runs").add();
-        m_generations = &reg->counter("ga.generations");
-        if (!config_.checkpoint_path.empty())
-            m_checkpoints = &reg->counter("checkpoint.writes");
-    }
+    RunScope<Evaluation> scope{"ga", config_, eval_, config_.fault_penalty};
+    EvalPipeline<Evaluation>& pipeline = scope.pipeline;
+    pipeline.set_observer(config_.eval_observer);
+    const obs::Tracer& tracer = scope.tracer();
 
     const FitnessMapper mapper{direction_};
     RunResult result{direction_};
@@ -126,12 +92,10 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
     double best_so_far = worst_value(direction_);
     bool have_best = false;
     std::size_t stall = 0;
-    std::size_t start_gen = 0;
     std::vector<Genome> population;
     population.reserve(config_.population_size);
 
     if (restored != nullptr) {
-        start_gen = restored->generation;
         rng.restore(restored->rng_state);
         population = restored->population;
         result.history = restored->history;
@@ -141,43 +105,29 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         result.best_eval = restored->best_eval;
         best_so_far = restored->best_so_far;
         stall = restored->stall;
-        pipeline.restore(*restored);
+        scope.restore(*restored);
     }
     else {
         for (const Genome& g : seeds_) population.push_back(g);
         while (population.size() < config_.population_size)
             population.push_back(Genome::random(space_, rng));
     }
-    result.start_generation = start_gen;
+    const std::size_t start_gen = scope.start_generation();
 
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr)
-        progress->on_run_start("ga", config_.generations, start_gen);
-
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "ga")
-            .add("seed", std::size_t{seed})
-            .add("population", config_.population_size)
+    scope.open(seed, config_.generations, [&](obs::TraceEvent& ev) {
+        ev.add("population", config_.population_size)
             .add("generations", config_.generations)
             .add("workers", config_.eval_workers)
             .add("mutation_rate", obs::FieldValue{config_.mutation_rate})
             .add("crossover_rate", obs::FieldValue{config_.crossover_rate})
             .add("confidence", obs::FieldValue{hints_.confidence()});
-        pipeline.add_resume_fields(ev);
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "ga.run"};
+    });
 
-    // Lineage recording (DESIGN.md section 11): active whenever tracing is on
-    // or a live tracker is attached.  Recording is pure observation -- it
-    // consumes zero RNG draws, so the determinism contract is unchanged.
-    std::optional<obs::LineageRecorder> lineage;
-    std::vector<std::uint64_t> ids;      // birth id of each population slot
+    // Lineage: one birth id per population slot.
+    obs::LineageRecorder* lineage = scope.record_lineage();
+    std::vector<std::uint64_t> ids;
     std::vector<std::uint64_t> next_ids;
-    if (tracer.enabled() || config_.obs.lineage_tracker() != nullptr) {
-        lineage.emplace(&tracer, config_.obs.lineage_tracker(), "ga");
+    if (lineage != nullptr) {
         if (restored != nullptr && restored->have_lineage &&
             restored->lineage.slot_ids.size() == population.size()) {
             lineage->restore(restored->lineage);
@@ -193,13 +143,9 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         }
     }
 
-    // Capture the loop state as "about to evaluate generation `gen`" and
-    // write it out atomically.
-    const auto write_checkpoint = [&](std::size_t gen) {
-        GaCheckpoint cp;
+    // The loop state as "about to evaluate the next generation".
+    const auto capture = [&](GaCheckpoint& cp) {
         cp.config_hash = config_fingerprint(seed);
-        cp.seed = seed;
-        cp.generation = gen;
         cp.rng_state = rng.state();
         cp.population = population;
         cp.history = result.history;
@@ -209,21 +155,9 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         cp.best_eval = result.best_eval;
         cp.best_so_far = best_so_far;
         cp.stall = stall;
-        pipeline.snapshot(cp);
-        if (lineage.has_value()) {
+        if (lineage != nullptr) {
             cp.have_lineage = true;
             cp.lineage = lineage->snapshot(ids);
-        }
-        save_checkpoint(config_.checkpoint_path, cp);
-        if (m_checkpoints != nullptr) m_checkpoints->add();
-        if (tracer.enabled()) {
-            obs::TraceEvent ev{"checkpoint"};
-            ev.add("engine", "ga")
-                .add("path", config_.checkpoint_path.c_str())
-                .add("generation", gen)
-                .add("cache", cp.cache.size())
-                .add("quarantined", cp.quarantine.size());
-            tracer.emit(std::move(ev));
         }
     };
 
@@ -244,20 +178,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
     BirthLog birth_log;
 
     for (std::size_t gen = start_gen; gen < config_.generations; ++gen) {
-        // A cancel token trips the same machinery as halt_at_generation:
-        // checkpoint at the boundary, result.halted = true.  Both require at
-        // least one generation of progress past the resume point so a
-        // cancel/resubmit cycle always advances.
-        const bool halt_here =
-            (config_.halt_at_generation != 0 && gen == config_.halt_at_generation &&
-             gen > start_gen) ||
-            (config_.cancel != nullptr &&
-             config_.cancel->load(std::memory_order_acquire) && gen > start_gen);
-        if (!config_.checkpoint_path.empty() && gen > start_gen) write_checkpoint(gen);
-        if (halt_here) {
-            result.halted = true;
-            break;
-        }
+        if (scope.boundary<GaCheckpoint>(gen, capture)) break;
         // --- Evaluate (fans out across the worker pool) -------------------
         pipeline.evaluate_wave(population, evals);
         for (std::size_t i = 0; i < population.size(); ++i)
@@ -298,16 +219,12 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
                 have_best = true;
             }
         }
-        if (improved && lineage.has_value()) lineage->on_improved(ids[best_index]);
+        if (improved && lineage != nullptr) lineage->on_improved(ids[best_index]);
         stats.best_so_far = best_so_far;
         result.history.push_back(stats);
         if (have_best)
             result.curve.append(static_cast<double>(stats.distinct_evals), best_so_far);
-        if (m_generations != nullptr) m_generations->add();
-        if (progress != nullptr) {
-            progress->on_units(gen + 1);
-            if (have_best) progress->on_best(best_so_far);
-        }
+        scope.end_generation(gen, have_best ? &best_so_far : nullptr);
         if (tracer.enabled()) {
             obs::TraceEvent ev{"generation"};
             ev.add("gen", gen)
@@ -337,7 +254,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
 
         // --- Breed the next generation -----------------------------------
         BreedStats breed_stats;
-        BirthLog* births = lineage.has_value() ? &birth_log : nullptr;
+        BirthLog* births = lineage != nullptr ? &birth_log : nullptr;
         {
             obs::ScopedTimer breed_span{tracer, "ga.breed"};
             breed_ctx.begin_generation(gen);
@@ -373,17 +290,12 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         }
     }
 
-    pipeline.fill(result);
     result.final_population = std::move(population);
     result.final_rng_state = rng.state();
-    if (lineage.has_value()) {
-        std::vector<std::uint64_t> winners;
-        if (lineage->last_improved() != obs::k_no_parent)
-            winners.push_back(lineage->last_improved());
-        lineage->finish(winners);
-    }
-    if (progress != nullptr) progress->on_run_end();
-    pipeline.emit_run_end("ga", [&](obs::TraceEvent& ev) {
+    std::vector<std::uint64_t> winners;
+    if (lineage != nullptr && lineage->last_improved() != obs::k_no_parent)
+        winners.push_back(lineage->last_improved());
+    scope.close(&result, winners, [&](obs::TraceEvent& ev) {
         ev.add("generations", result.history.size())
             .add("feasible", obs::FieldValue{have_best})
             .add("best", obs::FieldValue{have_best ? best_so_far : 0.0})
@@ -396,15 +308,12 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
 
 MultiRunCurve GaEngine::run_many(std::size_t count, EvalSummary* summary) const
 {
-    if (count == 0) throw std::invalid_argument("GaEngine::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        const RunResult r = run(seeder.next_u64());
-        if (summary != nullptr) summary->absorb(r);
-        if (!r.curve.empty()) multi.add_run(r.curve);
-    }
-    return multi;
+    return nautilus::run_many(name_, direction_, config_.seed, count,
+                              [&](std::uint64_t seed) {
+                                  RunResult r = run(seed);
+                                  if (summary != nullptr) summary->absorb(r);
+                                  return std::move(r.curve);
+                              });
 }
 
 }  // namespace nautilus

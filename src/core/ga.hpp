@@ -5,42 +5,31 @@
 // *baseline GA* (PyEvolve-style defaults: population 10, per-gene mutation
 // rate 0.1, 80 generations); with author hints and nonzero confidence it is
 // *Nautilus*.  The evaluation cost model (distinct synthesized designs) is
-// delegated to EvalPipeline (core/eval_pipeline.hpp).
+// delegated to EvalPipeline (core/eval_pipeline.hpp) and the run's
+// bookkeeping to RunScope (core/run_scope.hpp).
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/batch_evaluator.hpp"
-#include "core/eval_store.hpp"
-#include "core/evaluator.hpp"
-#include "core/fault.hpp"
-#include "core/fitness.hpp"
+#include "core/engine_base.hpp"
 #include "core/genome.hpp"
-#include "core/hints.hpp"
-#include "core/operators.hpp"
-#include "core/run_stats.hpp"
 #include "core/selection.hpp"
 
 namespace nautilus {
 
 struct GaCheckpoint;  // core/checkpoint.hpp
 
-struct GaConfig {
-    std::size_t population_size = 10;   // paper section 4.1
-    std::size_t generations = 80;       // paper section 4.1
-    double mutation_rate = 0.1;         // per-gene, paper section 4.1
-    double crossover_rate = 0.9;
-    CrossoverKind crossover = CrossoverKind::single_point;
+// Shared fields, the paper's population, generations and rates included,
+// come from GenerationalConfig (core/engine_base.hpp).
+struct GaConfig : GenerationalConfig {
     // Fitness-proportional selection matches the PyEvolve-era baseline the
     // paper modified; rank/tournament are stronger modern alternatives.
     SelectionConfig selection{SelectionKind::roulette, 1.8, 2};
     std::size_t elitism = 1;            // best members copied unchanged
-    std::uint64_t seed = 1;
 
     // Early termination.  The paper's usage scenario wants "a good design
     // point that is within some threshold of what the IP generator can
@@ -50,52 +39,15 @@ struct GaConfig {
     // improvement (0 = run all generations).
     std::size_t stall_generations = 0;
 
-    // Threads evaluating each generation concurrently (1 = serial).  The
-    // population size caps the useful parallelism (paper section 2); results
-    // are bit-for-bit identical for any worker count.
-    std::size_t eval_workers = 1;
     // Invoked after each generation's evaluation batch with the freshly
     // evaluated genomes and the measured wall-clock -- e.g. to drive a
-    // simulated synth::SynthesisCluster alongside the real pool.
+    // simulated synth::SynthesisCluster alongside the real pool.  The
+    // population size caps the useful parallelism of eval_workers (paper
+    // section 2).
     BatchObserver eval_observer;
-    // Tracing + metrics (both off by default; see src/obs/ and DESIGN.md
-    // section 7).  Search results are identical with or without tracing.
-    obs::Instrumentation obs;
 
-    // Fault tolerance (DESIGN.md section 8).  With tolerate_failures on,
-    // evaluations that still fail after the retry ladder are quarantined and
-    // answered with `fault_penalty` (infeasible by default) instead of
-    // aborting the run.
-    FaultPolicy fault;
+    // The answer for a quarantined design (infeasible by default).
     Evaluation fault_penalty{false, 0.0};
-
-    // Cross-run persistent evaluation store (core/eval_store.hpp).  When
-    // set, the store is consulted below the per-run memoization cache and
-    // above the fault guard: a hit skips the evaluator entirely but still
-    // charges one distinct evaluation, so results and every determinism-
-    // gated counter are bit-for-bit identical with or without the store.
-    // Deliberately excluded from config_fingerprint: a checkpointed run may
-    // resume with or without a store attached.
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;  // EvalStore::namespace_key(...)
-
-    // Cooperative cancellation (the job server's DELETE /jobs/<id>).  When
-    // set and observed true at a generation boundary, the run writes a
-    // checkpoint (when checkpoint_path is set) and stops with
-    // result.halted = true, exactly like halt_at_generation -- so a
-    // cancelled job can be resubmitted and resumed bit-exactly.  Like the
-    // store, deliberately excluded from config_fingerprint: a checkpoint may
-    // resume with or without a token attached.
-    std::shared_ptr<const std::atomic<bool>> cancel;
-
-    // Checkpoint/resume.  When `checkpoint_path` is set, the full run state
-    // is written there at every generation boundary (atomically, via a temp
-    // file).  `halt_at_generation` (when nonzero) writes a checkpoint
-    // at that generation and stops the run with result.halted = true -- a
-    // deterministic stand-in for "the process was killed", used by the
-    // resume tests and `nautilus_cli --die-at-gen`.
-    std::string checkpoint_path;
-    std::size_t halt_at_generation = 0;  // 0 = never halt
 
     void validate() const;  // throws std::invalid_argument on bad settings
 };
@@ -110,33 +62,19 @@ struct GenerationStats {
     std::size_t distinct_evals = 0;  // cumulative synthesis jobs
 };
 
-struct RunResult {
+// The evaluation totals, halted and start_generation come from EvalTotals.
+struct RunResult : EvalTotals {
     std::vector<GenerationStats> history;
     Genome best_genome;
     Evaluation best_eval;
-    std::size_t distinct_evals = 0;
-    std::size_t total_eval_calls = 0;  // including cache hits
     Curve curve;  // best-so-far vs distinct evaluations
     bool hit_target = false;     // stopped because target_value was reached
     bool stalled = false;        // stopped by the stall_generations criterion
-    bool halted = false;         // stopped by halt_at_generation (checkpointed)
-    double eval_seconds = 0.0;   // measured wall-clock spent evaluating
-    std::size_t eval_workers = 1;  // parallelism the run evaluated with
-    std::size_t start_generation = 0;  // nonzero when resumed from a checkpoint
 
     // End-of-run engine state, for resume-determinism auditing: a resumed
     // run must reproduce these bit-for-bit.
     std::vector<Genome> final_population;
     std::array<std::uint64_t, 4> final_rng_state{};
-
-    // Fault-tolerance accounting (attempts == distinct evals + retries;
-    // with a store attached, attempts == distinct - store_hits + retries).
-    FaultCounters fault;
-
-    // Persistent-store accounting for this run (both 0 when no store is
-    // attached): memo misses answered by the store vs. paid fresh.
-    std::size_t store_hits = 0;
-    std::size_t store_misses = 0;
 
     RunResult() : curve(Direction::maximize) {}
     explicit RunResult(Direction dir) : curve(dir) {}
@@ -153,7 +91,7 @@ struct EvalSummary {
     std::size_t store_hits = 0;       // memo misses answered by the store
     std::size_t store_misses = 0;     // memo misses paid fresh
 
-    void absorb(const RunResult& r)
+    void absorb(const EvalTotals& r)
     {
         eval_seconds += r.eval_seconds;
         eval_workers = r.eval_workers;
@@ -180,7 +118,7 @@ struct EvalSummary {
     }
 };
 
-class GaEngine {
+class GaEngine : public EngineShell<GaConfig> {
 public:
     // `hints` must validate against `space`; pass HintSet::none(space) for
     // the baseline GA.  The engine owns no evaluator state between runs:
@@ -188,10 +126,6 @@ public:
     // paper.
     GaEngine(const ParameterSpace& space, GaConfig config, Direction direction, EvalFn eval,
              HintSet hints);
-
-    const GaConfig& config() const { return config_; }
-    Direction direction() const { return direction_; }
-    const HintSet& hints() const { return hints_; }
 
     // Seed part of the initial population with known configurations (e.g.
     // the IP's shipped default, or the best points of a previous query).
@@ -228,11 +162,6 @@ public:
 private:
     RunResult run_impl(std::uint64_t seed, const GaCheckpoint* restored) const;
 
-    const ParameterSpace& space_;
-    GaConfig config_;
-    Direction direction_;
-    EvalFn eval_;
-    HintSet hints_;
     std::vector<Genome> seeds_;
 };
 

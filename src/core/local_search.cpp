@@ -2,52 +2,114 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "core/breed.hpp"
-#include "core/eval_pipeline.hpp"
+#include "core/run_scope.hpp"
 
 namespace nautilus {
 
 namespace {
 
-// Shared proposal move: mutate a copy of `current` with the hint-aware
-// operator; guarantee at least one gene changes (a no-op proposal wastes a
-// step without costing an evaluation, biasing budget accounting).  The
-// BreedContext memoizes value distributions across proposals (local search
-// never advances the generation, so the hoisted probabilities are static).
-// `origins` (optional, one slot per gene) accumulates each changed gene's
-// draw class across the bounded retry attempts; untouched genes stay
-// parent_a.  Recording never consumes RNG draws (DESIGN.md §11).
-Genome propose(const Genome& current, BreedContext& ctx, Rng& rng,
-               obs::GeneOrigin* origins = nullptr)
-{
-    Genome next = current;
-    if (origins != nullptr)
-        std::fill_n(origins, next.size(), obs::GeneOrigin::parent_a);
-    for (int attempt = 0; attempt < 16; ++attempt) {
-        if (ctx.mutate(next, rng, nullptr, origins) > 0) return next;
+// What SA and HC share around their accept rules: the run scope, the
+// proposal context and the walk's lineage (DESIGN.md section 11) --
+// random starts are roots, proposals children of the point they mutate,
+// accepted steps survivals and the best-so-far holder the winner.
+class Walk {
+public:
+    Walk(const char* engine, const BudgetedConfig& config, double mutation_rate,
+         const EvalFn& eval, const ParameterSpace& space, const HintSet& hints,
+         std::uint64_t seed)
+        : scope{engine, config, eval, config.fault_penalty},
+          space_{space},
+          ctx_{space, hints, mutation_rate}
+    {
+        scope.open(seed, config.max_distinct_evals, [&](obs::TraceEvent& ev) {
+            ev.add("budget", config.max_distinct_evals)
+                .add("workers", config.eval_workers)
+                .add("confidence", obs::FieldValue{hints.confidence()});
+        });
+        lineage_ = scope.record_lineage();
+        if (lineage_ != nullptr) origins_.resize(space.size());
     }
-    // Degenerate space (all single-value domains): return unchanged.
-    return next;
-}
 
-void check_engine_args(const ParameterSpace& space, const EvalFn& eval,
-                       const HintSet& hints)
-{
-    if (space.empty()) throw std::invalid_argument("local search: empty parameter space");
-    if (!eval) throw std::invalid_argument("local search: null evaluation function");
-    hints.validate(space);
-}
+    RunScope<Evaluation> scope;
+
+    // A uniform random point; `id` becomes its lineage root, born at `step`.
+    Genome root(Rng& rng, std::size_t step, std::uint64_t& id)
+    {
+        Genome g = Genome::random(space_, rng);
+        if (lineage_ != nullptr) {
+            id = lineage_->on_root(step, obs::BirthOp::init, space_.size());
+            lineage_->flush();
+        }
+        return g;
+    }
+
+    // A proposal from `from`: the hint-aware mutation, retried until a gene
+    // changes (a no-op proposal would waste a step without costing an
+    // evaluation; a space of single-value domains stays unchanged).  `id`
+    // becomes its birth as a child of `from_id` at `step`, with each changed
+    // gene's draw class, emitted now unless `flush` is false.
+    Genome propose(const Genome& from, std::uint64_t from_id, std::size_t step, Rng& rng,
+                   std::uint64_t& id, bool flush = true)
+    {
+        Genome next = from;
+        obs::GeneOrigin* origins = lineage_ != nullptr ? origins_.data() : nullptr;
+        std::fill(origins_.begin(), origins_.end(), obs::GeneOrigin::parent_a);
+        for (int attempt = 0; attempt < 16; ++attempt)
+            if (ctx_.mutate(next, rng, nullptr, origins) > 0) break;
+        if (lineage_ != nullptr) {
+            id = lineage_->on_child(from_id, obs::k_no_parent, false, step, origins_);
+            if (flush) lineage_->flush();
+        }
+        return next;
+    }
+
+    void flush()
+    {
+        if (lineage_ != nullptr) lineage_->flush();
+    }
+
+    void survived(std::uint64_t id)
+    {
+        if (lineage_ != nullptr) lineage_->on_survived(id);
+    }
+
+    void improved(std::uint64_t id)
+    {
+        if (lineage_ == nullptr) return;
+        lineage_->on_improved(id);
+        best_id_ = id;
+    }
+
+    // Report the final progress and close the run; `best` is the walk's
+    // best value when `feasible`.
+    void close(EvalTotals* totals, bool feasible, double best)
+    {
+        scope.report(scope.pipeline.distinct(), feasible ? &best : nullptr);
+        std::vector<std::uint64_t> winners;
+        if (feasible && best_id_ != obs::k_no_parent) winners.push_back(best_id_);
+        scope.close(totals, winners, [&](obs::TraceEvent& ev) {
+            ev.add("feasible", obs::FieldValue{feasible})
+                .add("best", obs::FieldValue{feasible ? best : 0.0});
+        });
+    }
+
+private:
+    const ParameterSpace& space_;
+    BreedContext ctx_;
+    obs::LineageRecorder* lineage_ = nullptr;
+    std::vector<obs::GeneOrigin> origins_;
+    std::uint64_t best_id_ = obs::k_no_parent;
+};
 
 }  // namespace
 
 void AnnealingConfig::validate() const
 {
-    if (max_distinct_evals == 0)
-        throw std::invalid_argument("AnnealingConfig: max_distinct_evals must be >= 1");
+    BudgetedConfig::validate("AnnealingConfig");
     if (cooling <= 0.0 || cooling >= 1.0)
         throw std::invalid_argument("AnnealingConfig: cooling out of (0, 1)");
     if (steps_per_temperature == 0)
@@ -56,102 +118,37 @@ void AnnealingConfig::validate() const
         throw std::invalid_argument("AnnealingConfig: mutation_rate out of (0, 1]");
     if (initial_temperature < 0.0)
         throw std::invalid_argument("AnnealingConfig: negative initial temperature");
-    if (eval_workers == 0)
-        throw std::invalid_argument("AnnealingConfig: eval_workers must be >= 1");
-    fault.validate();
 }
 
 SimulatedAnnealing::SimulatedAnnealing(const ParameterSpace& space, AnnealingConfig config,
                                        Direction direction, EvalFn eval, HintSet hints)
-    : space_(space),
-      config_(config),
-      direction_(direction),
-      eval_(std::move(eval)),
-      hints_(std::move(hints))
+    : BudgetedEngine{"SimulatedAnnealing", space, std::move(config), direction,
+                     std::move(eval), std::move(hints)}
 {
-    config_.validate();
-    check_engine_args(space_, eval_, hints_);
 }
 
 Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
 {
     Rng rng{seed};
-    EvalPipeline<Evaluation> pipeline{eval_, config_};
-    const obs::Tracer& tracer = config_.obs.tracer;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("sa.runs").add();
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr) progress->on_run_start("sa", config_.max_distinct_evals);
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "sa")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("budget", config_.max_distinct_evals)
-            .add("workers", config_.eval_workers)
-            .add("confidence", obs::FieldValue{hints_.confidence()});
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "sa.run"};
-
-    // Lineage recording (DESIGN.md section 11): every accepted chain step is
-    // a survival, the best-so-far holder is the winner.
-    std::optional<obs::LineageRecorder> lineage;
-    std::uint64_t current_id = obs::k_no_parent;
-    std::uint64_t best_id = obs::k_no_parent;
-    std::vector<obs::GeneOrigin> prop_origins;
-    if (tracer.enabled() || config_.obs.lineage_tracker() != nullptr) {
-        lineage.emplace(&tracer, config_.obs.lineage_tracker(), "sa");
-        prop_origins.resize(space_.size());
-    }
-
-    const auto finish = [&](bool feasible, double best_value) {
-        if (lineage.has_value()) {
-            std::vector<std::uint64_t> winners;
-            if (feasible && best_id != obs::k_no_parent) winners.push_back(best_id);
-            lineage->finish(winners);
-        }
-        if (progress != nullptr) {
-            progress->on_units(pipeline.distinct());
-            if (feasible) progress->on_best(best_value);
-            progress->on_run_end();
-        }
-        pipeline.emit_run_end("sa", [&](obs::TraceEvent& ev) {
-            ev.add("feasible", obs::FieldValue{feasible})
-                .add("best", obs::FieldValue{feasible ? best_value : 0.0});
-        });
-        if (totals != nullptr) pipeline.fill(*totals);
-    };
+    Walk walk{"sa", config_, config_.mutation_rate, eval_, space_, hints_, seed};
+    EvalPipeline<Evaluation>& pipeline = walk.scope.pipeline;
     const FitnessMapper mapper{direction_};
     Curve curve{direction_};
 
-    BreedContext ctx{space_, hints_, config_.mutation_rate};
-
     // Start from a feasible random point (bounded retries).
-    Genome current = Genome::random(space_, rng);
-    if (lineage.has_value()) {
-        current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-        lineage->flush();
-    }
+    std::uint64_t current_id = obs::k_no_parent;
+    Genome current = walk.root(rng, 0, current_id);
     Evaluation current_eval = pipeline.evaluate(current);
     for (int tries = 0;
-         !current_eval.feasible && tries < 200 &&
-         pipeline.distinct() < config_.max_distinct_evals;
-         ++tries) {
-        current = Genome::random(space_, rng);
-        if (lineage.has_value()) {
-            current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-            lineage->flush();
-        }
+         !current_eval.feasible && tries < 200 && walk.scope.budget_left(config_); ++tries) {
+        current = walk.root(rng, 0, current_id);
         current_eval = pipeline.evaluate(current);
     }
     if (!current_eval.feasible) {
-        finish(false, 0.0);
+        walk.close(totals, false, 0.0);
         return curve;
     }
-    if (lineage.has_value()) {
-        lineage->on_improved(current_id);
-        best_id = current_id;
-    }
+    walk.improved(current_id);
 
     double best = current_eval.value;
     curve.append(static_cast<double>(pipeline.distinct()), best);
@@ -169,14 +166,10 @@ Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
         Genome probe = current;
         std::uint64_t probe_id = current_id;
         for (std::size_t i = 0; i < std::min<std::size_t>(8, remaining); ++i) {
-            probe = propose(probe, ctx, rng,
-                            lineage.has_value() ? prop_origins.data() : nullptr);
-            if (lineage.has_value())
-                probe_id = lineage->on_child(probe_id, obs::k_no_parent, false, 0,
-                                             prop_origins);
+            probe = walk.propose(probe, probe_id, 0, rng, probe_id, /*flush=*/false);
             probes.push_back(probe);
         }
-        if (lineage.has_value()) lineage->flush();
+        walk.flush();
         std::vector<Evaluation> probe_evals(probes.size());
         pipeline.evaluate_wave(probes, probe_evals);
         for (const Evaluation& e : probe_evals)
@@ -186,15 +179,9 @@ Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
     }
 
     std::size_t step = 0;
-    while (pipeline.distinct() < config_.max_distinct_evals) {
-        const Genome candidate = propose(
-            current, ctx, rng, lineage.has_value() ? prop_origins.data() : nullptr);
+    while (walk.scope.budget_left(config_)) {
         std::uint64_t cand_id = obs::k_no_parent;
-        if (lineage.has_value()) {
-            cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
-                                        prop_origins);
-            lineage->flush();
-        }
+        const Genome candidate = walk.propose(current, current_id, step, rng, cand_id);
         const Evaluation cand_eval = pipeline.evaluate(candidate);
         const double delta = mapper.fitness(cand_eval) - mapper.fitness(current_eval);
         const bool accept =
@@ -203,110 +190,48 @@ Curve SimulatedAnnealing::run(std::uint64_t seed, EvalTotals* totals) const
         if (accept && cand_eval.feasible) {
             current = candidate;
             current_eval = cand_eval;
-            if (lineage.has_value()) {
-                lineage->on_survived(cand_id);
-                current_id = cand_id;
-            }
+            current_id = cand_id;
+            walk.survived(cand_id);
             if (no_worse(cand_eval.value, best, direction_)) {
                 best = better_of(cand_eval.value, best, direction_);
-                if (lineage.has_value()) {
-                    lineage->on_improved(cand_id);
-                    best_id = cand_id;
-                }
+                walk.improved(cand_id);
                 curve.append(static_cast<double>(pipeline.distinct()), best);
             }
         }
         if (++step % config_.steps_per_temperature == 0)
             temperature = std::max(temperature * config_.cooling, 1e-12);
-        if (progress != nullptr) {
-            progress->on_units(pipeline.distinct());
-            progress->on_best(best);
-        }
+        walk.scope.report(pipeline.distinct(), &best);
     }
-    finish(true, best);
+    walk.close(totals, true, best);
     return curve;
-}
-
-MultiRunCurve SimulatedAnnealing::run_many(std::size_t count) const
-{
-    if (count == 0)
-        throw std::invalid_argument("SimulatedAnnealing::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        Curve c = run(seeder.next_u64());
-        if (!c.empty()) multi.add_run(std::move(c));
-    }
-    return multi;
 }
 
 void HillClimbConfig::validate() const
 {
-    if (max_distinct_evals == 0)
-        throw std::invalid_argument("HillClimbConfig: max_distinct_evals must be >= 1");
+    BudgetedConfig::validate("HillClimbConfig");
     if (patience == 0) throw std::invalid_argument("HillClimbConfig: patience must be >= 1");
     if (mutation_rate <= 0.0 || mutation_rate > 1.0)
         throw std::invalid_argument("HillClimbConfig: mutation_rate out of (0, 1]");
-    if (eval_workers == 0)
-        throw std::invalid_argument("HillClimbConfig: eval_workers must be >= 1");
-    fault.validate();
 }
 
 HillClimber::HillClimber(const ParameterSpace& space, HillClimbConfig config,
                          Direction direction, EvalFn eval, HintSet hints)
-    : space_(space),
-      config_(config),
-      direction_(direction),
-      eval_(std::move(eval)),
-      hints_(std::move(hints))
+    : BudgetedEngine{"HillClimber", space, std::move(config), direction, std::move(eval),
+                     std::move(hints)}
 {
-    config_.validate();
-    check_engine_args(space_, eval_, hints_);
 }
 
 Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
 {
     Rng rng{seed};
-    EvalPipeline<Evaluation> pipeline{eval_, config_};
-    const obs::Tracer& tracer = config_.obs.tracer;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("hc.runs").add();
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr) progress->on_run_start("hc", config_.max_distinct_evals);
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "hc")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("budget", config_.max_distinct_evals)
-            .add("workers", config_.eval_workers)
-            .add("confidence", obs::FieldValue{hints_.confidence()});
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "hc.run"};
-
-    // Lineage recording (DESIGN.md section 11): restarts mint new roots,
-    // accepted candidates survive, the best-so-far holder is the winner.
-    std::optional<obs::LineageRecorder> lineage;
-    std::uint64_t current_id = obs::k_no_parent;
-    std::uint64_t best_id = obs::k_no_parent;
-    std::vector<obs::GeneOrigin> prop_origins;
-    if (tracer.enabled() || config_.obs.lineage_tracker() != nullptr) {
-        lineage.emplace(&tracer, config_.obs.lineage_tracker(), "hc");
-        prop_origins.resize(space_.size());
-    }
-
+    Walk walk{"hc", config_, config_.mutation_rate, eval_, space_, hints_, seed};
+    EvalPipeline<Evaluation>& pipeline = walk.scope.pipeline;
     Curve curve{direction_};
-
-    BreedContext ctx{space_, hints_, config_.mutation_rate};
-
     double best = worst_value(direction_);
     bool have_best = false;
 
-    Genome current = Genome::random(space_, rng);
-    if (lineage.has_value()) {
-        current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-        lineage->flush();
-    }
+    std::uint64_t current_id = obs::k_no_parent;
+    Genome current = walk.root(rng, 0, current_id);
     Evaluation current_eval = pipeline.evaluate(current);
     std::size_t stale = 0;
     std::size_t step = 0;
@@ -316,36 +241,24 @@ Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
         if (!have_best || no_worse(e.value, best, direction_)) {
             best = better_of(e.value, best, direction_);
             have_best = true;
-            if (lineage.has_value()) {
-                lineage->on_improved(id);
-                best_id = id;
-            }
+            walk.improved(id);
             curve.append(static_cast<double>(pipeline.distinct()), best);
         }
     };
     note(current_eval, current_id);
 
-    while (pipeline.distinct() < config_.max_distinct_evals) {
+    // Restart from a random point after `patience` non-improving proposals.
+    while (walk.scope.budget_left(config_)) {
         ++step;
         if (stale >= config_.patience || !current_eval.feasible) {
-            current = Genome::random(space_, rng);
-            if (lineage.has_value()) {
-                current_id = lineage->on_root(step, obs::BirthOp::init, space_.size());
-                lineage->flush();
-            }
+            current = walk.root(rng, step, current_id);
             current_eval = pipeline.evaluate(current);
             note(current_eval, current_id);
             stale = 0;
             continue;
         }
-        const Genome candidate = propose(
-            current, ctx, rng, lineage.has_value() ? prop_origins.data() : nullptr);
         std::uint64_t cand_id = obs::k_no_parent;
-        if (lineage.has_value()) {
-            cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
-                                        prop_origins);
-            lineage->flush();
-        }
+        const Genome candidate = walk.propose(current, current_id, step, rng, cand_id);
         const Evaluation cand_eval = pipeline.evaluate(candidate);
         if (cand_eval.feasible &&
             no_worse(cand_eval.value, current_eval.value, direction_)) {
@@ -353,49 +266,18 @@ Curve HillClimber::run(std::uint64_t seed, EvalTotals* totals) const
                 !no_worse(current_eval.value, cand_eval.value, direction_);
             current = candidate;
             current_eval = cand_eval;
-            if (lineage.has_value()) {
-                lineage->on_survived(cand_id);
-                current_id = cand_id;
-            }
+            current_id = cand_id;
+            walk.survived(cand_id);
             note(cand_eval, cand_id);
             stale = strictly ? 0 : stale + 1;
         }
         else {
             ++stale;
         }
-        if (progress != nullptr) {
-            progress->on_units(pipeline.distinct());
-            if (have_best) progress->on_best(best);
-        }
+        walk.scope.report(pipeline.distinct(), have_best ? &best : nullptr);
     }
-    if (lineage.has_value()) {
-        std::vector<std::uint64_t> winners;
-        if (have_best && best_id != obs::k_no_parent) winners.push_back(best_id);
-        lineage->finish(winners);
-    }
-    if (progress != nullptr) {
-        progress->on_units(pipeline.distinct());
-        progress->on_run_end();
-    }
-    pipeline.emit_run_end("hc", [&](obs::TraceEvent& ev) {
-        ev.add("feasible", obs::FieldValue{have_best})
-            .add("best", obs::FieldValue{have_best ? best : 0.0});
-    });
-    if (totals != nullptr) pipeline.fill(*totals);
+    walk.close(totals, have_best, best);
     return curve;
-}
-
-MultiRunCurve HillClimber::run_many(std::size_t count) const
-{
-    if (count == 0)
-        throw std::invalid_argument("HillClimber::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        Curve c = run(seeder.next_u64());
-        if (!c.empty()) multi.add_run(std::move(c));
-    }
-    return multi;
 }
 
 }  // namespace nautilus

@@ -1,33 +1,19 @@
 #include "core/nsga2.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/breed.hpp"
 #include "core/checkpoint.hpp"
-#include "core/eval_pipeline.hpp"
+#include "core/run_scope.hpp"
 
 namespace nautilus {
 
 void MultiObjectiveConfig::validate() const
 {
-    if (population_size < 4)
-        throw std::invalid_argument("MultiObjectiveConfig: population_size must be >= 4");
-    if (generations == 0)
-        throw std::invalid_argument("MultiObjectiveConfig: generations must be >= 1");
-    if (mutation_rate < 0.0 || mutation_rate > 1.0)
-        throw std::invalid_argument("MultiObjectiveConfig: mutation_rate out of [0, 1]");
-    if (crossover_rate < 0.0 || crossover_rate > 1.0)
-        throw std::invalid_argument("MultiObjectiveConfig: crossover_rate out of [0, 1]");
-    if (eval_workers == 0)
-        throw std::invalid_argument("MultiObjectiveConfig: eval_workers must be >= 1");
-    fault.validate();
-    if (halt_at_generation != 0 && checkpoint_path.empty())
-        throw std::invalid_argument(
-            "MultiObjectiveConfig: halt_at_generation requires checkpoint_path");
+    GenerationalConfig::validate("MultiObjectiveConfig", 4);
 }
 
 std::vector<std::vector<std::size_t>> non_dominated_sort(
@@ -120,14 +106,7 @@ MultiObjectiveResult Nsga2Engine::run(std::uint64_t seed) const
 
 std::uint64_t Nsga2Engine::config_fingerprint(std::uint64_t seed) const
 {
-    std::uint64_t h = 0x6e736761ull;  // "nsga" tag
-    h = hash_combine(h, space_.size());
-    for (const Parameter& p : space_) h = hash_combine(h, p.domain.cardinality());
-    h = hash_combine(h, config_.population_size);
-    h = hash_combine(h, config_.generations);
-    h = hash_combine(h, std::bit_cast<std::uint64_t>(config_.mutation_rate));
-    h = hash_combine(h, std::bit_cast<std::uint64_t>(config_.crossover_rate));
-    h = hash_combine(h, static_cast<std::uint64_t>(config_.crossover));
+    std::uint64_t h = config_.fingerprint(0x6e736761ull, space_);  // "nsga" tag
     h = hash_combine(h, config_.fault.retry.max_attempts);
     h = hash_combine(h, config_.fault.tolerate_failures ? 1 : 0);
     h = hash_combine(h, directions_.size());
@@ -139,10 +118,7 @@ std::uint64_t Nsga2Engine::config_fingerprint(std::uint64_t seed) const
 MultiObjectiveResult Nsga2Engine::resume(const std::string& checkpoint_path) const
 {
     const Nsga2Checkpoint cp = load_nsga2_checkpoint(checkpoint_path);
-    if (cp.config_hash != config_fingerprint(cp.seed))
-        throw std::runtime_error(
-            "Nsga2Engine::resume: checkpoint " + checkpoint_path +
-            " was written with a different space/config/hints/seed");
+    check_resume(cp.config_hash == config_fingerprint(cp.seed), "Nsga2Engine", checkpoint_path);
     if (cp.objectives != directions_.size())
         throw std::runtime_error("Nsga2Engine::resume: objective count mismatch");
     return run_impl(cp.seed, &cp);
@@ -156,23 +132,17 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     // The multi-objective penalty is nullopt, so quarantined designs are
     // simply infeasible; a stored record must carry one value per objective.
     using MultiValue = std::optional<std::vector<double>>;
-    EvalPipeline<MultiValue> pipeline{
-        [this](const Genome& g) {
-            MultiValue values = eval_(g);
-            if (values && values->size() != directions_.size())
-                throw std::runtime_error("Nsga2Engine: objective arity mismatch");
-            return values;
-        },
-        config_, directions_.size()};
-    const obs::Tracer& tracer = config_.obs.tracer;
-    obs::Counter* m_generations = nullptr;
-    obs::Counter* m_checkpoints = nullptr;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) {
-        reg->counter("nsga2.runs").add();
-        m_generations = &reg->counter("nsga2.generations");
-        if (!config_.checkpoint_path.empty())
-            m_checkpoints = &reg->counter("checkpoint.writes");
-    }
+    RunScope<MultiValue> scope{"nsga2", config_,
+                               [this](const Genome& g) {
+                                   MultiValue values = eval_(g);
+                                   if (values && values->size() != directions_.size())
+                                       throw std::runtime_error(
+                                           "Nsga2Engine: objective arity mismatch");
+                                   return values;
+                               },
+                               std::nullopt, directions_.size()};
+    EvalPipeline<MultiValue>& pipeline = scope.pipeline;
+    const obs::Tracer& tracer = scope.tracer();
 
     struct Member {
         Genome genome;
@@ -182,10 +152,8 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     // Archive of every feasible point seen (for the final front).
     std::vector<Member> archive;
     std::vector<Member> population;
-    std::size_t start_gen = 0;
 
     if (restored != nullptr) {
-        start_gen = restored->generation;
         rng.restore(restored->rng_state);
         population.reserve(restored->population.size());
         for (std::size_t i = 0; i < restored->population.size(); ++i)
@@ -193,56 +161,37 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         archive.reserve(restored->archive.size());
         for (std::size_t i = 0; i < restored->archive.size(); ++i)
             archive.push_back({restored->archive[i], restored->archive_values[i]});
-        pipeline.restore(*restored);
+        scope.restore(*restored);
     }
+    const std::size_t start_gen = scope.start_generation();
 
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr)
-        progress->on_run_start("nsga2", config_.generations, start_gen);
-
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "nsga2")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("population", config_.population_size)
+    scope.open(seed, config_.generations, [&](obs::TraceEvent& ev) {
+        ev.add("population", config_.population_size)
             .add("generations", config_.generations)
             .add("objectives", directions_.size())
             .add("workers", config_.eval_workers)
             .add("confidence", obs::FieldValue{hints_.confidence()});
-        pipeline.add_resume_fields(ev);
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "nsga2.run"};
+    });
 
-    // Lineage recording (DESIGN.md section 11): pure observation, zero RNG
-    // draws.  The NSGA-II checkpoint does not persist lineage, so resumed
-    // runs root the restored population and archive with op=resume.
-    std::optional<obs::LineageRecorder> lineage;
+    // Lineage: the NSGA-II checkpoint does not persist it, so resumed runs
+    // root the restored population and archive with op=resume.
+    obs::LineageRecorder* lineage = scope.record_lineage();
     std::vector<std::uint64_t> pop_ids;      // birth id per population slot
     std::vector<std::uint64_t> archive_ids;  // birth id per archive entry
-    std::vector<std::uint64_t> lineage_winners;
-    if (tracer.enabled() || config_.obs.lineage_tracker() != nullptr) {
-        lineage.emplace(&tracer, config_.obs.lineage_tracker(), "nsga2");
-        if (restored != nullptr) {
-            pop_ids.reserve(population.size());
-            for (std::size_t i = 0; i < population.size(); ++i)
-                pop_ids.push_back(
-                    lineage->on_root(start_gen, obs::BirthOp::resume, space_.size()));
-            archive_ids.reserve(archive.size());
-            for (std::size_t i = 0; i < archive.size(); ++i)
-                archive_ids.push_back(
-                    lineage->on_root(start_gen, obs::BirthOp::resume, space_.size()));
-            lineage->flush();
-        }
+    if (lineage != nullptr && restored != nullptr) {
+        pop_ids.reserve(population.size());
+        for (std::size_t i = 0; i < population.size(); ++i)
+            pop_ids.push_back(lineage->on_root(start_gen, obs::BirthOp::resume, space_.size()));
+        archive_ids.reserve(archive.size());
+        for (std::size_t i = 0; i < archive.size(); ++i)
+            archive_ids.push_back(
+                lineage->on_root(start_gen, obs::BirthOp::resume, space_.size()));
+        lineage->flush();
     }
 
-    const auto finish = [&](MultiObjectiveResult result) {
-        if (lineage.has_value()) lineage->finish(lineage_winners);
-        if (progress != nullptr) progress->on_run_end();
-        pipeline.fill(result);
-        result.start_generation = start_gen;
-        pipeline.emit_run_end("nsga2", [&](obs::TraceEvent& ev) {
+    const auto finish = [&](MultiObjectiveResult result,
+                            std::span<const std::uint64_t> winners) {
+        scope.close(&result, winners, [&](obs::TraceEvent& ev) {
             ev.add("front_size", result.front.size())
                 .add("halted", obs::FieldValue{result.halted});
         });
@@ -257,13 +206,9 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         return pts;
     };
 
-    // State captured at the top of the generation loop ("about to run
-    // generation `gen`"), written atomically.
-    const auto write_checkpoint = [&](std::size_t gen) {
-        Nsga2Checkpoint cp;
+    // The loop state as "about to run the next generation".
+    const auto capture = [&](Nsga2Checkpoint& cp) {
         cp.config_hash = config_fingerprint(seed);
-        cp.seed = seed;
-        cp.generation = gen;
         cp.objectives = directions_.size();
         cp.rng_state = rng.state();
         for (const Member& m : population) {
@@ -273,18 +218,6 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         for (const Member& m : archive) {
             cp.archive.push_back(m.genome);
             cp.archive_values.push_back(m.values);
-        }
-        pipeline.snapshot(cp);
-        save_checkpoint(config_.checkpoint_path, cp);
-        if (m_checkpoints != nullptr) m_checkpoints->add();
-        if (tracer.enabled()) {
-            obs::TraceEvent ev{"checkpoint"};
-            ev.add("engine", "nsga2")
-                .add("path", config_.checkpoint_path.c_str())
-                .add("generation", gen)
-                .add("cache", cp.cache.size())
-                .add("quarantined", cp.quarantine.size());
-            tracer.emit(std::move(ev));
         }
     };
 
@@ -307,13 +240,13 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             for (std::size_t i = 0; i < chunk; ++i) {
                 if (!wave_values[i]) continue;
                 population.push_back({wave[i], *wave_values[i]});
-                if (lineage.has_value())
+                if (lineage != nullptr)
                     pop_ids.push_back(
                         lineage->on_root(0, obs::BirthOp::init, space_.size()));
             }
-            if (lineage.has_value()) lineage->flush();
+            if (lineage != nullptr) lineage->flush();
         }
-        if (population.size() < 4) return finish({});
+        if (population.size() < 4) return finish({}, {});
         for (const Member& m : population) archive.push_back(m);
         archive_ids = pop_ids;
     }
@@ -324,18 +257,8 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     MutationStats* mut_stats_ptr = tracer.enabled() ? &mut_stats : nullptr;
     BreedContext breed_ctx{space_, hints_, config_.mutation_rate};
 
-    bool halted = false;
     for (std::size_t gen = start_gen; gen < config_.generations; ++gen) {
-        const bool halt_here =
-            (config_.halt_at_generation != 0 && gen == config_.halt_at_generation &&
-             gen > start_gen) ||
-            (config_.cancel != nullptr &&
-             config_.cancel->load(std::memory_order_acquire) && gen > start_gen);
-        if (!config_.checkpoint_path.empty() && gen > start_gen) write_checkpoint(gen);
-        if (halt_here) {
-            halted = true;
-            break;
-        }
+        if (scope.boundary<Nsga2Checkpoint>(gen, capture)) break;
         breed_ctx.begin_generation(gen);
 
         // Rank the current pool.
@@ -390,8 +313,8 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 if (crossed)
                     crossover_views(child_a.genes_mut(), child_b.genes_mut(),
                                     config_.crossover, rng,
-                                    lineage.has_value() ? &swap_mask : nullptr);
-                if (lineage.has_value()) {
+                                    lineage != nullptr ? &swap_mask : nullptr);
+                if (lineage != nullptr) {
                     const std::size_t genes = child_a.size();
                     origins_a.assign(genes, obs::GeneOrigin::parent_a);
                     origins_b.assign(genes, obs::GeneOrigin::parent_a);
@@ -418,7 +341,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 brood.push_back(std::move(child_a));
                 brood.push_back(std::move(child_b));
             }
-            if (lineage.has_value()) lineage->flush();
+            if (lineage != nullptr) lineage->flush();
             born += brood.size();
             wave_values.assign(brood.size(), MultiValue{});
             pipeline.evaluate_wave(brood, wave_values);
@@ -427,7 +350,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 if (wave_values[i]) {
                     offspring.push_back({brood[i], *wave_values[i]});
                     archive.push_back(offspring.back());
-                    if (lineage.has_value()) {
+                    if (lineage != nullptr) {
                         offspring_ids.push_back(brood_ids[i]);
                         archive_ids.push_back(brood_ids[i]);
                     }
@@ -447,7 +370,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         pop_ids.clear();
         const auto keep = [&](std::size_t idx) {
             population.push_back(pool[idx]);
-            if (lineage.has_value()) {
+            if (lineage != nullptr) {
                 pop_ids.push_back(pool_ids[idx]);
                 lineage->on_survived(pool_ids[idx]);
             }
@@ -471,8 +394,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             if (population.size() >= config_.population_size) break;
         }
 
-        if (m_generations != nullptr) m_generations->add();
-        if (progress != nullptr) progress->on_units(gen + 1);
+        scope.end_generation(gen);
         if (tracer.enabled()) {
             obs::TraceEvent ev{"generation"};
             ev.add("gen", gen)
@@ -494,20 +416,16 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     }
 
     // Final front over the whole archive.
-    std::vector<ObjectivePoint> archive_points;
-    archive_points.reserve(archive.size());
-    for (std::size_t i = 0; i < archive.size(); ++i)
-        archive_points.push_back({i, archive[i].values});
-    const auto front_idx = pareto_front(archive_points, directions_);
+    const auto front_idx = pareto_front(to_points(archive), directions_);
 
     MultiObjectiveResult result;
-    result.halted = halted;
     result.front.reserve(front_idx.size());
     for (std::size_t idx : front_idx)
         result.front.push_back({archive[idx].genome, archive[idx].values});
-    if (lineage.has_value())
-        for (std::size_t idx : front_idx) lineage_winners.push_back(archive_ids[idx]);
-    return finish(std::move(result));
+    std::vector<std::uint64_t> winners;
+    if (lineage != nullptr)
+        for (std::size_t idx : front_idx) winners.push_back(archive_ids[idx]);
+    return finish(std::move(result), winners);
 }
 
 }  // namespace nautilus

@@ -9,22 +9,16 @@
 // distinct-evaluation cost accounting, so an IP author's hints accelerate
 // frontier mapping the same way they accelerate single-metric queries.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/eval_store.hpp"
-#include "core/fault.hpp"
+#include "core/engine_base.hpp"
 #include "core/genome.hpp"
-#include "core/hints.hpp"
-#include "core/operators.hpp"
 #include "core/pareto.hpp"
-#include "obs/obs.hpp"
 
 namespace nautilus {
 
@@ -34,39 +28,16 @@ struct Nsga2Checkpoint;  // core/checkpoint.hpp
 // for infeasible configurations.  Must be deterministic per genome.
 using MultiEvalFn = std::function<std::optional<std::vector<double>>(const Genome&)>;
 
-struct MultiObjectiveConfig {
-    std::size_t population_size = 24;
-    std::size_t generations = 40;
-    double mutation_rate = 0.1;
-    double crossover_rate = 0.9;
-    CrossoverKind crossover = CrossoverKind::single_point;
-    std::uint64_t seed = 1;
-    // Threads evaluating each brood/initialization wave concurrently
-    // (1 = serial); results are identical for any worker count.
-    std::size_t eval_workers = 1;
-    // Tracing + metrics (off by default); does not affect search results.
-    obs::Instrumentation obs;
-
-    // Fault tolerance (DESIGN.md section 8).  The multi-objective penalty is
-    // always "infeasible" (nullopt): a quarantined design simply never joins
-    // the pool or the archive.
-    FaultPolicy fault;
-
-    // Cross-run persistent evaluation store (core/eval_store.hpp): consulted
-    // below the memo cache, above the fault guard; same determinism contract
-    // as GaConfig::store.  Records hold one value per objective (or
-    // feasible=false for infeasible points).
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;
-
-    // Cooperative cancellation; same semantics as GaConfig::cancel (halt at
-    // a generation boundary with a checkpoint, excluded from the config
-    // fingerprint).
-    std::shared_ptr<const std::atomic<bool>> cancel;
-
-    // Checkpoint/resume; same semantics as GaConfig (DESIGN.md section 8).
-    std::string checkpoint_path;
-    std::size_t halt_at_generation = 0;  // 0 = never halt
+// Shared fields come from GenerationalConfig (core/engine_base.hpp), with
+// the GA's semantics.  The multi-objective fault penalty is always
+// "infeasible" (nullopt): a quarantined design never joins the pool or the
+// archive, and a stored record holds one value per objective.
+struct MultiObjectiveConfig : GenerationalConfig {
+    MultiObjectiveConfig()
+    {
+        population_size = 24;
+        generations = 40;
+    }
 
     void validate() const;
 };
@@ -76,18 +47,10 @@ struct FrontPoint {
     std::vector<double> values;
 };
 
-struct MultiObjectiveResult {
+// The evaluation totals, halted and start_generation come from EvalTotals.
+struct MultiObjectiveResult : EvalTotals {
     // Non-dominated set over everything evaluated during the run.
     std::vector<FrontPoint> front;
-    std::size_t distinct_evals = 0;
-    std::size_t total_eval_calls = 0;  // including cache hits
-    double eval_seconds = 0.0;         // measured wall-clock spent evaluating
-    std::size_t eval_workers = 1;
-    bool halted = false;               // stopped by halt_at_generation
-    std::size_t start_generation = 0;  // nonzero when resumed from a checkpoint
-    FaultCounters fault;               // attempts == distinct evals + retries
-    std::size_t store_hits = 0;        // memo misses answered by the store
-    std::size_t store_misses = 0;      // memo misses paid fresh
 };
 
 class Nsga2Engine {

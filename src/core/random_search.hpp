@@ -8,61 +8,33 @@
 // the same experiment harness.
 
 #include <cstdint>
-#include <memory>
 
-#include "core/eval_store.hpp"
-#include "core/evaluator.hpp"
-#include "core/fault.hpp"
-#include "core/fitness.hpp"
-#include "core/parameter.hpp"
-#include "core/run_stats.hpp"
-#include "obs/obs.hpp"
+#include "core/engine_base.hpp"
 
 namespace nautilus {
 
-struct EvalTotals;  // core/eval_pipeline.hpp
-
-struct RandomSearchConfig {
-    std::size_t max_distinct_evals = 800;
-    std::uint64_t seed = 7;
-    // Threads evaluating each wave of draws concurrently (1 = serial).  The
-    // draw sequence and result curve are identical for any worker count.
-    std::size_t eval_workers = 1;
-    // Tracing + metrics (off by default); does not affect the draw sequence.
-    obs::Instrumentation obs;
-    // Fault tolerance (DESIGN.md section 8); shared semantics with GaConfig.
-    FaultPolicy fault;
-    Evaluation fault_penalty{false, 0.0};
-
-    // Cross-run persistent evaluation store; same placement and determinism
-    // contract as GaConfig::store.
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;
+// Shared fields come from BudgetedConfig (core/engine_base.hpp).  The draw
+// sequence and result curve are identical for any worker count.
+struct RandomSearchConfig : BudgetedConfig {
+    RandomSearchConfig() { seed = 7; }
 
     void validate() const;  // throws std::invalid_argument on bad settings
 };
 
-class RandomSearch {
+class RandomSearch : public BudgetedEngine<RandomSearch, RandomSearchConfig> {
 public:
     RandomSearch(const ParameterSpace& space, RandomSearchConfig config, Direction direction,
                  EvalFn eval);
 
-    // One run: draw uniformly until the distinct-evaluation budget is spent.
-    // `totals`, when non-null, receives the run's evaluation accounting.
+    // One run: draw uniformly until the distinct-evaluation budget or its
+    // call cap is spent, or a cancel stops it.  `totals`, when non-null,
+    // receives the run's evaluation accounting.
     Curve run(std::uint64_t seed, EvalTotals* totals = nullptr) const;
-
-    MultiRunCurve run_many(std::size_t count) const;
 
     // Expected number of uniform draws (with replacement) until hitting a
     // subset of probability `hit_probability`: 1/p.  Used to report the
     // analytic footnote-3 style number.
     static double expected_draws(double hit_probability);
-
-private:
-    const ParameterSpace& space_;
-    RandomSearchConfig config_;
-    Direction direction_;
-    EvalFn eval_;
 };
 
 }  // namespace nautilus

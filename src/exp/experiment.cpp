@@ -70,15 +70,14 @@ ExperimentResult Experiment::run() const
     }
 
     if (random_budget_) {
+        // Random search shares the GA's run settings -- workers, tracing,
+        // fault policy and penalty, store -- so the comparison (and any
+        // trace) covers both engines uniformly.
         RandomSearchConfig rc;
+        static_cast<RunConfig&>(rc) = config_.ga;
+        rc.fault_penalty = config_.ga.fault_penalty;
         rc.max_distinct_evals = *random_budget_;
         rc.seed = config_.ga.seed ^ 0x5eedull;
-        // Random search shares the GA's evaluation pipeline settings so the
-        // comparison (and any trace) covers both engines uniformly.
-        rc.eval_workers = config_.ga.eval_workers;
-        rc.obs = config_.ga.obs;
-        rc.store = config_.ga.store;
-        rc.store_namespace = config_.ga.store_namespace;
         const RandomSearch rs{generator_.space(), rc, query_.direction, eval};
         result.random_search = rs.run_many(config_.runs);
     }

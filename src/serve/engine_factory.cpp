@@ -5,7 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "core/eval_pipeline.hpp"
 #include "core/fault_injection.hpp"
 #include "core/ga.hpp"
 #include "core/local_search.hpp"
@@ -67,54 +66,38 @@ std::uint64_t store_namespace(const JobSpec& spec)
     return EvalStore::namespace_key(context);
 }
 
-// Eval accounting comes from the pipeline totals every engine reports
-// (RunResult, MultiObjectiveResult and EvalTotals share the field names).
-template <typename Totals>
-void absorb_totals(JobOutcome& out, const Totals& t)
-{
-    out.distinct_evals = t.distinct_evals;
-    out.total_eval_calls = t.total_eval_calls;
-    out.store_hits = t.store_hits;
-    out.store_misses = t.store_misses;
-    out.fault = t.fault;
-}
-
 // One job's resolved pieces, shared by the per-engine runners.
 struct Job {
     const ip::IpGenerator& generator;
     const JobSpec& spec;
     const JobRunInputs& inputs;
-    std::size_t workers;
-    obs::Instrumentation inst;
+    RunConfig run;  // the fields every engine config takes from the job alike
     Metric metric;
     Direction direction;
     EvalFn eval;  // the scalar objective, chaos-wrapped when requested
 
-    // What every engine config takes from the job the same way.
+    // GaConfig or MultiObjectiveConfig: the shared fields, the spec's budget
+    // and population, and the checkpoint wiring.
     template <typename Config>
-    void attach(Config& c) const
+    Config generational() const
     {
-        c.seed = spec.seed;
-        c.eval_workers = workers;
-        c.obs = inst;
-        c.fault = inputs.fault;
-        if (inputs.store) {
-            c.store = inputs.store;
-            c.store_namespace = store_namespace(spec);
-        }
-    }
-
-    // The generational engines (ga, nsga2) also take the budget, population,
-    // cancel token and checkpoint wiring.
-    template <typename Config>
-    void attach_generational(Config& c) const
-    {
-        attach(c);
+        Config c;
+        static_cast<RunConfig&>(c) = run;
         c.generations = spec.generations;
         if (spec.population != 0) c.population_size = spec.population;
-        c.cancel = inputs.cancel;
         c.checkpoint_path = inputs.checkpoint_path;
         c.halt_at_generation = inputs.halt_at_generation;
+        return c;
+    }
+
+    // RandomSearchConfig, AnnealingConfig or HillClimbConfig.
+    template <typename Config>
+    Config budgeted() const
+    {
+        Config c;
+        static_cast<RunConfig&>(c) = run;
+        c.max_distinct_evals = spec.evals;
+        return c;
     }
 
     HintSet hints() const
@@ -130,22 +113,19 @@ struct Job {
 
 JobOutcome run_ga(const Job& job)
 {
-    GaConfig ga;
-    job.attach_generational(ga);
+    const auto ga = job.generational<GaConfig>();
     const GaEngine engine{job.generator.space(), ga, job.direction, job.eval, job.hints()};
     const RunResult r = checkpoint_exists(ga.checkpoint_path)
                             ? engine.resume(ga.checkpoint_path)
                             : engine.run();
 
     JobOutcome out;
-    out.halted = r.halted;
+    static_cast<EvalTotals&>(out) = r;
     out.feasible = r.best_eval.feasible;
     if (out.feasible) {
         out.best = r.best_eval.value;
         out.best_genome = r.best_genome.to_string(job.generator.space());
     }
-    absorb_totals(out, r);
-    out.start_generation = r.start_generation;
     return out;
 }
 
@@ -166,21 +146,18 @@ JobOutcome run_nsga2(const Job& job)
         return std::vector<double>{*a, *b};
     };
 
-    MultiObjectiveConfig mo;
-    job.attach_generational(mo);
+    const auto mo = job.generational<MultiObjectiveConfig>();
     const Nsga2Engine engine{generator.space(), mo, dirs, eval, job.hints()};
     const MultiObjectiveResult r = checkpoint_exists(mo.checkpoint_path)
                                        ? engine.resume(mo.checkpoint_path)
                                        : engine.run();
 
     JobOutcome out;
-    out.halted = r.halted;
+    static_cast<EvalTotals&>(out) = r;
     out.feasible = !r.front.empty();
     out.front.reserve(r.front.size());
     for (const FrontPoint& p : r.front)
         out.front.push_back({p.genome.to_string(generator.space()), p.values});
-    absorb_totals(out, r);
-    out.start_generation = r.start_generation;
     return out;
 }
 
@@ -188,33 +165,24 @@ JobOutcome run_budgeted(const Job& job)
 {
     const JobSpec& spec = job.spec;
     const ParameterSpace& space = job.generator.space();
-    EvalTotals totals;
+    JobOutcome out;
     Curve curve{job.direction};
     if (spec.engine == "random") {
-        RandomSearchConfig rs;
-        rs.max_distinct_evals = spec.evals;
-        job.attach(rs);
-        curve = RandomSearch{space, rs, job.direction, job.eval}.run(spec.seed, &totals);
+        const auto rs = job.budgeted<RandomSearchConfig>();
+        curve = RandomSearch{space, rs, job.direction, job.eval}.run(spec.seed, &out);
     }
     else if (spec.engine == "sa") {
-        AnnealingConfig sa;
-        sa.max_distinct_evals = spec.evals;
-        job.attach(sa);
+        const auto sa = job.budgeted<AnnealingConfig>();
         curve = SimulatedAnnealing{space, sa, job.direction, job.eval, job.hints()}.run(
-            spec.seed, &totals);
+            spec.seed, &out);
     }
     else {
-        HillClimbConfig hc;
-        hc.max_distinct_evals = spec.evals;
-        job.attach(hc);
+        const auto hc = job.budgeted<HillClimbConfig>();
         curve = HillClimber{space, hc, job.direction, job.eval, job.hints()}.run(spec.seed,
-                                                                                 &totals);
+                                                                                 &out);
     }
-
-    JobOutcome out;
     out.feasible = !curve.empty();
     if (out.feasible) out.best = curve.final_best();
-    absorb_totals(out, totals);
     return out;
 }
 
@@ -260,10 +228,19 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
         chaos = std::make_unique<FaultInjectingEvaluator>(std::move(eval), *inputs.chaos);
         eval = chaos->as_eval_fn();
     }
-    const std::size_t workers = inputs.workers != 0 ? inputs.workers : spec.workers;
-    const Job job{*generator, spec, inputs, workers, instrumentation_for(inputs),
-                  metric, direction_of(spec), std::move(eval)};
-    const obs::Instrumentation& inst = job.inst;
+    RunConfig run;
+    run.seed = spec.seed;
+    run.eval_workers = inputs.workers != 0 ? inputs.workers : spec.workers;
+    run.obs = instrumentation_for(inputs);
+    run.fault = inputs.fault;
+    if (inputs.store) {
+        run.store = inputs.store;
+        run.store_namespace = store_namespace(spec);
+    }
+    run.cancel = inputs.cancel;
+    const Job job{*generator, spec, inputs, std::move(run), metric, direction_of(spec),
+                  std::move(eval)};
+    const obs::Instrumentation& inst = job.run.obs;
 
     const auto started = std::chrono::steady_clock::now();
     JobOutcome out = spec.engine == "ga"      ? run_ga(job)
@@ -287,7 +264,7 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
         if (inputs.request_id != 0)
             ev.add("request_id", obs::FieldValue{inputs.request_id});
         ev.add("engine", obs::FieldValue{spec.engine})
-            .add("workers", workers)
+            .add("workers", job.run.eval_workers)
             .add("queue_wait_seconds", obs::FieldValue{inputs.queue_wait_seconds})
             .add("run_seconds", obs::FieldValue{run_seconds})
             .add("halted", obs::FieldValue{out.halted})

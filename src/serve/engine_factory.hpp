@@ -19,6 +19,7 @@
 #include "core/eval_store.hpp"
 #include "core/fault.hpp"
 #include "core/fault_injection.hpp"
+#include "core/engine_base.hpp"
 #include "ip/ip_generator.hpp"
 #include "obs/lineage.hpp"
 #include "obs/metrics.hpp"
@@ -75,21 +76,17 @@ struct FrontEntry {
     std::vector<double> values;
 };
 
-struct JobOutcome {
-    bool halted = false;       // stopped at a checkpointed boundary (cancel/halt)
+// Eval accounting (EvalTotals) comes from the run's pipeline totals, for
+// every engine; it equals the run_end counters of the job's trace.  `halted`
+// means a cancel or halt_at_generation stopped the run: ga and nsga2 stop
+// at a checkpointed generation boundary, the budgeted engines between steps
+// or waves, without a checkpoint.
+struct JobOutcome : EvalTotals {
     bool feasible = false;     // a feasible design was found
     double best = 0.0;         // scalar engines, when feasible
     std::string best_genome;   // rendered best point (ga only; curve engines
                                // track values, not genomes)
     std::vector<FrontEntry> front;  // nsga2 only
-    // Eval accounting from the run's pipeline totals, for every engine; it
-    // equals the run_end counters of the job's trace.
-    std::size_t distinct_evals = 0;
-    std::size_t total_eval_calls = 0;  // including memo hits
-    std::size_t store_hits = 0;
-    std::size_t store_misses = 0;
-    std::size_t start_generation = 0;  // nonzero when resumed from a checkpoint
-    FaultCounters fault;               // the run's fault-guard counters
     // What the chaos injector did (all zero without JobRunInputs::chaos).
     std::uint64_t injected_failures = 0;
     std::uint64_t injected_hangs = 0;

@@ -218,8 +218,9 @@ void JobScheduler::job_main(Job& job)
                 .count();
         job.outcome = outcome;
         if (outcome.halted) {
-            // Stopped at a checkpointed boundary; the checkpoint stays on
-            // disk so a resubmitted identical spec resumes bit-exactly.
+            // Stopped by the cancel.  A ga/nsga2 checkpoint stays on disk
+            // so a resubmitted identical spec resumes bit-exactly; a
+            // budgeted job has none and starts over.
             finish(job, JobState::cancelled, {});
         }
         else {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 namespace nautilus::exp {
 namespace {
@@ -139,6 +140,52 @@ TEST(Experiment, RandomSearchCanBeEnabled)
     const ExperimentResult r = e.run();
     ASSERT_TRUE(r.random_search.has_value());
     EXPECT_EQ(r.random_search->runs(), 6u);
+}
+
+// An IP whose synthesis fails for every x = 9 design (10% of the space).
+class FailingGenerator final : public ip::IpGenerator {
+public:
+    FailingGenerator()
+    {
+        space_.add("x", ParamDomain::int_range(0, 9));
+        space_.add("y", ParamDomain::int_range(0, 9));
+        space_.add("z", ParamDomain::int_range(0, 9));
+    }
+
+    std::string name() const override { return "failing"; }
+    const ParameterSpace& space() const override { return space_; }
+    std::vector<Metric> metrics() const override { return {Metric::area_luts}; }
+    ip::MetricValues evaluate(const Genome& g) const override
+    {
+        if (g.gene(0) == 9) throw std::runtime_error("synthesis crashed");
+        ip::MetricValues mv;
+        mv.set(Metric::area_luts, 100.0 + 30.0 * g.gene(0) + 10.0 * g.gene(1) + g.gene(2));
+        return mv;
+    }
+
+private:
+    ParameterSpace space_;
+};
+
+// Random search runs with the GA's run settings, fault policy and penalty
+// included: a failing design is quarantined and answered with the GA's
+// penalty instead of aborting the experiment.
+TEST(Experiment, RandomSearchInheritsTheGaFaultPolicy)
+{
+    const FailingGenerator gen;
+    ExperimentConfig cfg = tiny_config();
+    cfg.ga.fault.tolerate_failures = true;
+    cfg.ga.fault_penalty = {true, 1.0};  // below every real area (>= 100)
+    Experiment e{gen, Query::simple("q", Metric::area_luts, Direction::minimize), cfg};
+    e.add_engine({"baseline", GuidanceLevel::none, std::nullopt, std::nullopt});
+    e.enable_random_search(200);
+    const ExperimentResult r = e.run();
+    ASSERT_TRUE(r.random_search.has_value());
+    ASSERT_EQ(r.random_search->runs(), 6u);
+    // 200 distinct draws of 1,000 points all but surely include an x = 9
+    // design, whose penalty then is the run's best.
+    for (std::size_t i = 0; i < r.random_search->runs(); ++i)
+        EXPECT_EQ(r.random_search->run(i).final_best(), 1.0) << "run " << i;
 }
 
 TEST(Experiment, DatasetAndLiveEvaluationAgree)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/eval_pipeline.hpp"
 #include "fixtures.hpp"
 
 namespace nautilus {
@@ -214,6 +215,45 @@ TEST(HillClimber, GuidedBeatsUnguidedOnAverage)
     const HillClimber guided{space, cfg, Direction::maximize, sum_eval, up_hints(space)};
     EXPECT_GE(guided.run_many(12).mean_final_best() + 0.5,
               plain.run_many(12).mean_final_best());
+}
+
+// A budget beyond the points the walk can reach: the call cap ends the run
+// (k_calls_per_budget calls per unit of budget) once every point is known.
+ParameterSpace four_point_space()
+{
+    ParameterSpace space;
+    space.add("a", ParamDomain::int_range(0, 1));
+    space.add("b", ParamDomain::int_range(0, 1));
+    return space;
+}
+
+TEST(SimulatedAnnealing, BudgetBeyondTheSpaceStopsAtTheCallCap)
+{
+    const auto space = four_point_space();
+    AnnealingConfig cfg;
+    cfg.max_distinct_evals = 10;
+    const SimulatedAnnealing sa{space, cfg, Direction::maximize, sum_eval,
+                                HintSet::none(space)};
+    EvalTotals totals;
+    const Curve c = sa.run(3, &totals);
+    EXPECT_EQ(totals.distinct_evals, 4u);
+    EXPECT_EQ(totals.total_eval_calls, cfg.max_calls());
+    EXPECT_FALSE(totals.halted);
+    EXPECT_EQ(c.final_best(), 2.0);
+}
+
+TEST(HillClimber, BudgetBeyondTheSpaceStopsAtTheCallCap)
+{
+    const auto space = four_point_space();
+    HillClimbConfig cfg;
+    cfg.max_distinct_evals = 10;
+    const HillClimber hc{space, cfg, Direction::maximize, sum_eval, HintSet::none(space)};
+    EvalTotals totals;
+    const Curve c = hc.run(3, &totals);
+    EXPECT_EQ(totals.distinct_evals, 4u);
+    EXPECT_EQ(totals.total_eval_calls, cfg.max_calls());
+    EXPECT_FALSE(totals.halted);
+    EXPECT_EQ(c.final_best(), 2.0);
 }
 
 TEST(LocalSearch, ConstructionValidation)

@@ -14,9 +14,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -398,6 +400,30 @@ TEST(JobScheduler, LiveCancelThenResubmitReachesReferenceResult)
     EXPECT_NE(scheduler.status_json(final_id).find(best), std::string::npos);
 }
 
+// DELETE reaches the budgeted engines too: SA and HC check the cancel token
+// between steps (random search between waves), so a running job stops and
+// ends cancelled.  Each budget is far beyond the router space, so an
+// uncancelled job would run on to its call cap of 50 million calls.
+TEST(JobScheduler, CancelStopsARunningBudgetedJob)
+{
+    SchedulerConfig cfg;
+    cfg.worker_capacity = 1;
+    cfg.jobs_dir = fresh_dir("cancel_budgeted");
+    JobScheduler scheduler{cfg};
+    for (const char* engine : {"sa", "hc"}) {
+        SCOPED_TRACE(engine);
+        const SubmitResult r = scheduler.submit(std::string{R"({"engine":")"} + engine +
+                                                R"(","evals":1000000,"seed":3})");
+        ASSERT_EQ(r.status, 201);
+        for (int i = 0; i < 5000 && scheduler.state(r.id) != JobState::running; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(scheduler.state(r.id), JobState::running);
+        ASSERT_TRUE(scheduler.cancel(r.id));
+        ASSERT_TRUE(scheduler.wait(r.id, 30.0));
+        EXPECT_EQ(scheduler.state(r.id), JobState::cancelled);
+    }
+}
+
 // ------------------------------------------------------------------ fairness
 
 // Strict FIFO admission: with capacity 3, a wide job (2 slots) behind a
@@ -558,6 +584,23 @@ TEST(JobAccounting, BudgetedJobSummaryMatchesRunEnd)
                 EXPECT_EQ(out.store_hits, out.distinct_evals);
             }
         }
+    }
+}
+
+// A budget beyond the points a budgeted engine can reach still ends: the FFT
+// space has 18,900 points, and at a budget of 19,000 distinct evaluations
+// the run stops at its call cap of 50 calls per unit of budget.
+TEST(JobRunInputs, OverBudgetSpecsStopAtTheCallCap)
+{
+    for (const char* name : {"sa_fft_over_budget", "hc_fft_over_budget"}) {
+        SCOPED_TRACE(name);
+        std::ifstream in{std::string{NAUTILUS_SPEC_DIR} + "/" + name + ".json"};
+        const std::string text{std::istreambuf_iterator<char>{in}, {}};
+        const JobOutcome out = run_job(parse_job_spec(text), {});
+        EXPECT_FALSE(out.halted);
+        EXPECT_TRUE(out.feasible);
+        EXPECT_LE(out.distinct_evals, 18900u);
+        EXPECT_EQ(out.total_eval_calls, 950000u);
     }
 }
 
